@@ -1,8 +1,8 @@
 //! # amdrel-bench — shared setup for the benchmark harness
 //!
-//! Each Criterion bench under `benches/` regenerates one table or figure
-//! of the paper (printing the rows once) and times the underlying
-//! algorithms. This crate hosts the workload setup they share.
+//! Each Criterion bench under `benches/` times one hot path of the flow
+//! or the runtime simulator. This crate hosts the workload setup those
+//! benches share with the tests, the examples and `bench_report`.
 
 #![warn(missing_docs)]
 
@@ -21,6 +21,24 @@ pub struct Prepared {
     pub execution: Execution,
     /// The combined analysis.
     pub analysis: AnalysisReport,
+}
+
+impl Prepared {
+    /// Cycles the kernels take in the CGC datapath `dp` when every
+    /// kernel is moved there (the `t_coarse` of the all-moved mapping).
+    pub fn kernel_cgc_cycles(
+        &self,
+        dp: &amdrel_coarsegrain::CgcDatapath,
+        cfg: &amdrel_coarsegrain::SchedulerConfig,
+    ) -> u64 {
+        let exec_freq: Vec<u64> = self.analysis.blocks().iter().map(|b| b.exec_freq).collect();
+        let map = amdrel_coarsegrain::CdfgCoarseGrainMapping::map(&self.program.cdfg, dp, cfg)
+            .expect("kernels map onto the CGC datapath");
+        let kernels = self.analysis.kernels();
+        map.t_coarse(&exec_freq, |i| {
+            kernels.contains(&amdrel_cdfg::BlockId(i as u32))
+        })
+    }
 }
 
 fn prepare(workload: &amdrel_apps::Workload) -> Prepared {
@@ -47,13 +65,8 @@ pub fn ofdm_prepared() -> Prepared {
     prepare(&ofdm::workload(2004))
 }
 
-/// The JPEG encoder at the paper's workload size (256×256).
-pub fn jpeg_prepared() -> Prepared {
-    prepare(&jpeg::workload(jpeg::PAPER_DIM, 2004))
-}
-
-/// The JPEG encoder at a reduced 64×64 size (same structure, ~16× less
-/// interpretation work) for ablations that re-profile repeatedly.
+/// The JPEG encoder at a reduced 64×64 size (same structure as the
+/// paper's 256×256, ~16× less interpretation work).
 pub fn jpeg_small_prepared() -> Prepared {
     prepare(&jpeg::workload(64, 2004))
 }

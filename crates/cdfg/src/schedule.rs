@@ -10,13 +10,12 @@
 use crate::dfg::{Dfg, NodeId};
 use crate::op::OpKind;
 use crate::GraphError;
-use serde::{Deserialize, Serialize};
 
 /// Unit-delay scheduling levels of a [`Dfg`].
 ///
 /// Produced by [`asap_levels`] / [`alap_levels`]. Levels are 1-based, matching
 /// the paper's pseudocode (`level = 1; while (level <= max_level)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levels {
     levels: Vec<u32>,
     max_level: u32,

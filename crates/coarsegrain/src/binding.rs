@@ -11,11 +11,10 @@ use crate::datapath::CgcDatapath;
 use crate::scheduler::{Placement, Schedule, Site};
 use crate::CoarseGrainError;
 use amdrel_cdfg::{Dfg, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Statistics of a bound schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BindingReport {
     /// Schedule length in `T_CGC` cycles.
     pub length: u64,
@@ -317,9 +316,8 @@ mod tests {
 
     #[test]
     fn corrupted_schedule_detected() {
-        // Hand-build an out-of-range binding through serde round-trip
-        // tampering: simplest is to check the nonexistent-CGC path via a
-        // schedule from a larger datapath validated against a smaller one.
+        // Exercise the nonexistent-CGC path with a schedule from a larger
+        // datapath validated against a smaller one.
         let mut dfg = Dfg::new("w");
         for _ in 0..12 {
             dfg.add_op(OpKind::Add, 32);

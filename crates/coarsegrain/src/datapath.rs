@@ -19,11 +19,10 @@
 //! * every cycle has period `T_CGC` ("unit execution delay for the CGCs");
 //! * loads/stores go through shared-memory ports, not CGC nodes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Geometry of one Coarse-Grain Component (an n×m node array).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CgcGeometry {
     /// Rows (`n`): the maximum chain depth per column per cycle.
     pub rows: u32,
@@ -72,7 +71,7 @@ impl fmt::Display for CgcGeometry {
 /// let dp3 = CgcDatapath::three_2x2();
 /// assert_eq!(dp3.compute_slots(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CgcDatapath {
     /// The CGC instances.
     pub cgcs: Vec<CgcGeometry>,

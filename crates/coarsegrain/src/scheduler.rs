@@ -19,10 +19,9 @@
 use crate::datapath::CgcDatapath;
 use crate::CoarseGrainError;
 use amdrel_cdfg::{mobility, path_to_sink, Dfg, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Where a scheduled operation executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
     /// A CGC node: `(cgc instance, column, row within the chain)`.
     CgcNode {
@@ -41,7 +40,7 @@ pub enum Site {
 }
 
 /// A node's placement: which cycle, which site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Clock cycle (0-based, period `T_CGC`).
     pub cycle: u64,
@@ -50,7 +49,7 @@ pub struct Placement {
 }
 
 /// List-scheduler priority function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Longest path to a sink, descending — the classic critical-path
     /// list scheduler. The default.
@@ -64,7 +63,7 @@ pub enum Priority {
 
 /// Scheduler knobs. Implements [`Hash`] so that, together with
 /// [`crate::CgcDatapath`], it can key memoised coarse-grain mappings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedulerConfig {
     /// Allow same-cycle chaining through the CGC steering logic.
     pub chaining: bool,
@@ -82,7 +81,7 @@ impl Default for SchedulerConfig {
 }
 
 /// A complete schedule of one DFG on the datapath.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     placements: Vec<Option<Placement>>,
     length: u64,

@@ -31,11 +31,10 @@ use amdrel_cdfg::{BlockId, Cdfg};
 use amdrel_coarsegrain::CdfgCoarseGrainMapping;
 use amdrel_finegrain::CdfgFineGrainMapping;
 use amdrel_profiler::AnalysisReport;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which hardware a basic block executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Assignment {
     /// Fine-grain (embedded FPGA) hardware.
     FineGrain,
@@ -45,7 +44,7 @@ pub enum Assignment {
 
 /// The eq. (2) decomposition of total execution time, in FPGA cycles
 /// except where noted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Breakdown {
     /// eq. (4): fine-grain time of the blocks still on the FPGA.
     pub t_fpga: u64,
@@ -65,7 +64,7 @@ impl Breakdown {
 }
 
 /// One step of the engine's kernel-movement loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MoveRecord {
     /// The kernel moved to the coarse-grain hardware.
     pub kernel: BlockId,
@@ -76,7 +75,7 @@ pub struct MoveRecord {
 }
 
 /// Engine policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
     /// Skip kernels whose movement would *increase* `t_total`
     /// (communication outweighs acceleration). The paper's engine moves
@@ -86,7 +85,7 @@ pub struct EngineConfig {
 }
 
 /// The complete outcome of a partitioning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionResult {
     /// The timing constraint, in FPGA cycles.
     pub constraint: u64,

@@ -9,7 +9,6 @@
 
 use amdrel_coarsegrain::{CgcDatapath, SchedulerConfig};
 use amdrel_finegrain::FpgaDevice;
-use serde::{Deserialize, Serialize};
 
 /// Cost model for moving data between the fine- and coarse-grain units
 /// through the shared data memory.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// in FPGA cycles. The defaults (1 cycle/word, 2-cycle setup) keep
 /// communication subordinate to kernel compute time, consistent with the
 /// paper's results where `t_comm` is accounted for but never dominates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommModel {
     /// FPGA cycles per word transferred through the shared data memory.
     pub cycles_per_word: u64,
@@ -79,7 +78,7 @@ impl Default for CommModel {
 /// prices the *inter-application* swaps the multi-tenant runtime
 /// simulator (`amdrel-runtime`) performs when one application's
 /// configuration replaces another's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReconfigModel {
     /// Fixed FPGA-cycle overhead per configuration load.
     pub base_cycles: u64,
@@ -138,7 +137,7 @@ impl Default for ReconfigModel {
 ///     }
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Fine-grain (embedded FPGA) device.
     pub fpga: FpgaDevice,

@@ -27,7 +27,6 @@ use amdrel_finegrain::CdfgFineGrainMapping;
 use amdrel_floorplan::{FabricGrid, Floorplanner, Footprint, FragmentationStats};
 use amdrel_profiler::AnalysisReport;
 use amdrel_trace::TraceSink;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,7 +41,7 @@ const FULL_DRAIN: u64 = 1;
 const DEFAULT_REGIONS: usize = 4;
 
 /// One fully evaluated design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointEval {
     /// Where in the [`DesignSpace`] this point sits.
     pub point: PointIdx,
@@ -87,7 +86,7 @@ impl PointEval {
 }
 
 /// Evaluation-effort counters of an [`Evaluator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
     /// Design points priced (including memoised re-visits).
     pub points_evaluated: u64,

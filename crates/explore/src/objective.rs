@@ -14,10 +14,8 @@
 //! maximised rate — is therefore carried as its exact inverse,
 //! makespan-per-completed-job ([`Objective::Throughput`]).
 
-use serde::{Deserialize, Serialize};
-
 /// One minimised objective of a design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Objective {
     /// eq. (2) total execution time of one job, FPGA cycles.
     Cycles,
@@ -140,7 +138,7 @@ impl Objective {
 /// assert!(set.needs_runtime());
 /// assert_eq!(ObjectiveSet::static_default().names(), ["cycles", "area", "energy"]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObjectiveSet {
     objectives: Vec<Objective>,
 }
@@ -243,7 +241,7 @@ impl Default for ObjectiveSet {
 /// All values are `u64`s so domination checks are exact, and the derived
 /// lexicographic order over the vector is the archive's deterministic
 /// iteration order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Objectives {
     values: Vec<u64>,
 }

@@ -6,12 +6,11 @@ use crate::eval::{EvalStats, Evaluator, PointEval};
 use crate::space::DesignSpace;
 use crate::strategy::{ExploreConfig, SearchStrategy};
 use amdrel_core::{CacheStats, CoreError};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Everything one exploration produced: provenance (app, strategy, seed,
 /// objective selection), effort counters, and the Pareto frontier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// Application label.
     pub app: String,

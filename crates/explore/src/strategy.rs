@@ -16,10 +16,9 @@ use crate::eval::Evaluator;
 use crate::space::{DesignSpace, PointIdx};
 use amdrel_core::rng::SplitMix64;
 use amdrel_core::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// Strategy-independent exploration knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
     /// Seed of the deterministic RNG stream (ignored by [`Exhaustive`]).
     pub seed: u64,

@@ -9,7 +9,6 @@
 //! area and latency tables, and the full-reconfiguration cost.
 
 use amdrel_cdfg::{DfgNode, OpClass, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Per-class area costs in abstract FPGA area units, scaled by bitwidth.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// `A_FPGA = 1500` but fit into one at `A_FPGA = 5000`, reproducing the
 /// initial-cycle ratios of Tables 2/3 (see EXPERIMENTS.md for the
 /// calibration sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AreaLibrary {
     /// Base area of an ALU-class op at 32 bits.
     pub alu: u64,
@@ -67,7 +66,7 @@ impl Default for AreaLibrary {
 /// Per-class execution latencies on the fine-grain fabric, in FPGA clock
 /// cycles. One ASAP level of a temporal partition costs the maximum
 /// latency among its nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FpgaLatency {
     /// ALU-class latency (cycles).
     pub alu: u64,
@@ -111,7 +110,7 @@ impl Default for FpgaLatency {
 /// When full reconfiguration is charged (§3.2: "For each temporal
 /// partition, full reconfiguration of the fine-grain hardware is
 /// performed").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReconfigPolicy {
     /// eq. (4) taken literally: every execution of a basic block reloads
     /// the bitstream of each of its temporal partitions. The paper's
@@ -135,7 +134,7 @@ pub enum ReconfigPolicy {
 /// let dev = FpgaDevice::new(1500); // the paper's small configuration
 /// assert_eq!(dev.usable_area(), 1050); // 70% routable
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Total area in abstract units (`A_FPGA`).
     pub total_area: u64,

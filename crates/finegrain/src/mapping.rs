@@ -13,10 +13,9 @@ use crate::device::{FpgaDevice, ReconfigPolicy};
 use crate::temporal::{temporal_partition, TemporalPartitioning};
 use crate::FineGrainError;
 use amdrel_cdfg::{asap_levels, Cdfg, Dfg};
-use serde::{Deserialize, Serialize};
 
 /// The fine-grain mapping of one basic block's DFG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FineGrainMapping {
     /// The temporal partitioning (Figure 3 output).
     pub partitioning: TemporalPartitioning,
@@ -85,7 +84,7 @@ pub fn map_dfg(dfg: &Dfg, device: &FpgaDevice) -> Result<FineGrainMapping, FineG
 /// The fine-grain mapping of a whole CDFG: one [`FineGrainMapping`] per
 /// basic block, in block order ("The mapping methodology also handles
 /// CDFG, by iteratively mapping the DFGs composing the CDFG").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CdfgFineGrainMapping {
     /// Per-block mappings, indexed by block id.
     pub blocks: Vec<FineGrainMapping>,
@@ -188,7 +187,7 @@ impl CdfgFineGrainMapping {
 
 /// One temporal partition of one block's mapping: the grouped record
 /// [`CdfgFineGrainMapping::partition_footprints`] returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PartitionFootprint {
     /// Block id the partition belongs to.
     pub block: usize,

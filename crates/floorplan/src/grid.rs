@@ -149,18 +149,31 @@ impl FabricGrid {
     /// the rectangle cannot give every region at least one cell in each
     /// dimension.
     pub fn shaped(usable_area: u64, rows: usize, cols: usize) -> FabricGrid {
-        assert!(usable_area > 0, "usable area must be positive");
-        assert!(
-            rows > 0 && cols > 0,
-            "region grid dimensions must be positive"
-        );
+        FabricGrid::try_shaped(usable_area, rows, cols).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`FabricGrid::shaped`] for untrusted dimensions: the reason the
+    /// grid cannot be built, instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message under the conditions [`FabricGrid::shaped`]
+    /// panics on.
+    pub fn try_shaped(usable_area: u64, rows: usize, cols: usize) -> Result<FabricGrid, String> {
+        if usable_area == 0 {
+            return Err("usable area must be positive".to_owned());
+        }
+        if rows == 0 || cols == 0 {
+            return Err("region grid dimensions must be positive".to_owned());
+        }
         let width = ceil_sqrt(usable_area);
         let height = usable_area.div_ceil(width);
-        assert!(
-            rows as u64 <= height && cols as u64 <= width,
-            "a {rows}x{cols} region grid needs at least {rows}x{cols} cells, \
-             but {usable_area} area units quantise to {width}x{height}"
-        );
+        if rows as u64 > height || cols as u64 > width {
+            return Err(format!(
+                "a {rows}x{cols} region grid needs at least {rows}x{cols} cells, \
+                 but {usable_area} area units quantise to {width}x{height}"
+            ));
+        }
         let col_edges = split_edges(width, cols as u64);
         let row_edges = split_edges(height, rows as u64);
         let mut regions = Vec::with_capacity(rows * cols);
@@ -175,13 +188,13 @@ impl FabricGrid {
                 });
             }
         }
-        FabricGrid {
+        Ok(FabricGrid {
             width,
             height,
             rows: rows as u32,
             cols: cols as u32,
             regions,
-        }
+        })
     }
 
     /// [`FabricGrid::uniform`] over a device's routable area.
@@ -377,6 +390,14 @@ mod tests {
             FabricGrid::shaped(1050, 4, 1).config_key(&dev),
             FabricGrid::shaped(1050, 1, 4).config_key(&dev)
         );
+    }
+
+    #[test]
+    fn try_shaped_reports_oversubscription() {
+        let e = FabricGrid::try_shaped(1050, 64, 1).unwrap_err();
+        assert!(e.contains("quantise to 33x32"), "{e}");
+        assert!(FabricGrid::try_shaped(1050, 32, 33).is_ok());
+        assert!(FabricGrid::try_shaped(1050, 0, 1).is_err());
     }
 
     #[test]

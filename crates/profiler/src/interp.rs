@@ -115,19 +115,23 @@ impl<'p> Interpreter<'p> {
         let mut vars: Vec<i64> = vec![0; f.vars.len()];
         let mut counts = vec![0u64; f.blocks.len()];
         let mut retired: u64 = 0;
+        // The budget is charged per block visit as well as per retired
+        // instruction, so a loop of empty blocks still runs out of steps.
+        let mut steps: u64 = 0;
         let mut block = f.entry();
         let return_value = loop {
             counts[block.index()] += 1;
             let b = &f.blocks[block.index()];
+            steps += 1 + b.instrs.len() as u64;
+            if steps > self.step_limit {
+                return Err(ProfileError::StepLimit {
+                    limit: self.step_limit,
+                });
+            }
             for instr in &b.instrs {
-                retired += 1;
-                if retired > self.step_limit {
-                    return Err(ProfileError::StepLimit {
-                        limit: self.step_limit,
-                    });
-                }
                 self.exec_instr(instr, &mut vars, &mut globals, &mut locals)?;
             }
+            retired += b.instrs.len() as u64;
             match &b.term {
                 Terminator::Jump(t) => block = *t,
                 Terminator::Branch {
@@ -442,6 +446,35 @@ mod tests {
             .run(&[])
             .unwrap_err();
         assert!(matches!(e, ProfileError::StepLimit { limit: 10_000 }));
+    }
+
+    #[test]
+    fn step_limit_stops_empty_loop() {
+        let ir = compile_to_ir("int main() { while (1) { } return 0; }", "main").unwrap();
+        let e = Interpreter::new(&ir)
+            .with_step_limit(10_000)
+            .run(&[])
+            .unwrap_err();
+        assert!(matches!(e, ProfileError::StepLimit { limit: 10_000 }));
+    }
+
+    #[test]
+    fn block_visits_do_not_count_as_retired_instructions() {
+        let ir = compile_to_ir(
+            "int main() { int s = 0; for (int i = 0; i < 10; i++) { s += i; } return s; }",
+            "main",
+        )
+        .unwrap();
+        let exec = Interpreter::new(&ir).run(&[]).unwrap();
+        let instrs: u64 = ir
+            .entry
+            .blocks
+            .iter()
+            .zip(&exec.block_counts)
+            .map(|(b, &n)| b.instrs.len() as u64 * n)
+            .sum();
+        assert_eq!(exec.instrs_retired, instrs);
+        assert_eq!(exec.return_value, Some(45));
     }
 
     #[test]

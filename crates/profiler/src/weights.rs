@@ -7,10 +7,9 @@
 //! counted alongside basic operations.
 
 use amdrel_cdfg::{Dfg, OpClass};
-use serde::{Deserialize, Serialize};
 
 /// Per-class operation weights for eq. (1)'s `bb_weight`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightTable {
     /// Weight of ALU-class operations (paper: 1).
     pub alu: u64,

@@ -16,8 +16,6 @@
 //! never influence the processing order — the property the differential
 //! tests in `sim.rs` pin down.
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduled event: `(time, seq)` key plus payload.
 #[derive(Debug, Clone, Copy)]
 struct Entry<T> {
@@ -31,7 +29,7 @@ struct Entry<T> {
 ///
 /// All fields derive purely from the deterministic event stream, so
 /// two runs of one scenario snapshot identical stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CalendarStats {
     /// Events scheduled over the queue's lifetime (grow-time rehashing
     /// does not recount them).

@@ -40,7 +40,6 @@
 
 use crate::backoff::BackoffSchedule;
 use amdrel_core::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 use std::num::NonZeroU64;
 
 /// SplitMix64's additive constant (the golden-ratio gamma). Advancing a
@@ -68,7 +67,7 @@ pub(crate) fn permille_of(cycles: u64, permille: u64) -> u64 {
 /// A seeded fault-injection specification. All rates are permille
 /// (0..=1000) per *attempt*; `FaultSpec::none()` injects nothing and
 /// leaves every report byte-identical to a fault-free run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     /// Master seed the per-channel streams fork from (independent of
     /// the workload seed).
@@ -199,7 +198,7 @@ impl FaultSpec {
 /// What the engine does when a fault fires: how often to retry, how
 /// long to wait between retries, and whether exhausted jobs degrade to
 /// the coarse-grain-only fallback path or abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecoveryPolicy {
     /// Retries granted per phase (fabric attempts and coarse attempts
     /// each get this budget). 0 means any fault immediately exhausts.

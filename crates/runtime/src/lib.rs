@@ -24,13 +24,12 @@
 //!   discrete-event simulator (calendar-queue event core, events totally
 //!   ordered by `(time, sequence)`), with a configuration cache,
 //!   optional bitstream prefetch, an admission bound ([`SimConfig`])
-//!   and streaming latency aggregation ([`SketchMode`]); the historical
-//!   free functions `run_simulation` / `simulate_mix` remain as
-//!   deprecated shims over it; [`Simulation::shards`] partitions the
-//!   tenants across `k` independent platform replicas ([`shard_of`]:
-//!   application `i` → shard `i % k`) run on scoped threads and folded
-//!   back with a deterministic shard-order merge, so the merged report
-//!   is independent of thread scheduling and degenerates bit-identically
+//!   and streaming latency aggregation ([`SketchMode`]);
+//!   [`Simulation::shards`] partitions the tenants across `k`
+//!   independent platform replicas ([`shard_of`]: application `i` →
+//!   shard `i % k`) run on scoped threads and folded back with a
+//!   deterministic shard-order merge, so the merged report is
+//!   independent of thread scheduling and degenerates bit-identically
 //!   to the single-threaded engine at `k == 1`;
 //! * [`RegionPlan`] — a frozen joint floorplan of every tenant's
 //!   configuration footprints (via `amdrel-floorplan`) turning the
@@ -112,8 +111,6 @@ pub use profile::{AppProfile, ConfigId, FabricConfig, FALLBACK_FINE_PENALTY};
 pub use region::RegionPlan;
 pub use report::{report_to_json, AppStats, ReliabilityStats, RuntimeReport};
 pub use shard::shard_of;
-#[allow(deprecated)]
-pub use sim::{run_simulation, simulate_mix};
 pub use sim::{SimConfig, Simulation};
 pub use sketch::{LatencySketch, LatencySource, SketchMode, EXACT_THRESHOLD, SUB_BITS};
 pub use workload::{AppShare, Job, JobStream, WorkloadSpec};

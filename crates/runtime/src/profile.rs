@@ -10,17 +10,16 @@
 
 use amdrel_core::{Assignment, PartitionResult};
 use amdrel_finegrain::CdfgFineGrainMapping;
-use serde::{Deserialize, Serialize};
 
 /// Identity of a fine-grain configuration (one application's bitstream
 /// set). The configuration cache compares these: equal ids re-enter the
 /// fabric for free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConfigId(pub u64);
 
 /// The fine-grain configuration an application keeps resident while its
 /// jobs execute: one area entry per temporal partition, in load order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricConfig {
     /// Cache identity.
     pub id: ConfigId,
@@ -66,7 +65,7 @@ impl FabricConfig {
 }
 
 /// The runtime cost profile of one application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppProfile {
     /// Application name (reporting key).
     pub name: String,

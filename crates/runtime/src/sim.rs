@@ -43,8 +43,7 @@
 //!
 //! [`Simulation`] is the builder facade every consumer routes through —
 //! the CLI, `amdrel-explore`'s contention scorer, the case-study crates
-//! and the benches. The historical free functions [`run_simulation`] and
-//! [`simulate_mix`] remain as thin deprecated shims over it.
+//! and the benches.
 
 use crate::calendar::{CalendarQueue, CalendarStats};
 use crate::fault::{permille_of, FaultSpec, RecoveryPolicy};
@@ -56,12 +55,11 @@ use crate::sketch::{LatencySketch, LatencySource, SketchMode};
 use crate::workload::{Job, WorkloadSpec};
 use amdrel_core::Platform;
 use amdrel_trace::{TraceEvent, TraceSink, TrackId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 
 /// Runtime knobs orthogonal to the scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// When `true` (default), a job whose configuration is already
     /// loaded re-enters the fabric with no reconfiguration charge. When
@@ -1129,86 +1127,6 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Play `jobs` (from [`WorkloadSpec::generate`]) against `platform`
-/// under `policy`.
-///
-/// # Deprecated
-///
-/// Route through the [`Simulation`] builder instead:
-///
-/// ```
-/// use amdrel_core::Platform;
-/// use amdrel_runtime::{AppProfile, Fcfs, SimConfig, Simulation, WorkloadSpec};
-///
-/// let profiles = vec![AppProfile::synthetic("app", 0, 5_000, 1_000, vec![400])];
-/// let platform = Platform::paper(1500, 2);
-/// let jobs = WorkloadSpec::uniform(42, 32, &profiles, 110).generate(&profiles);
-/// let report = Simulation::new(&platform)
-///     .profiles(&profiles)
-///     .policy(&Fcfs)
-///     .config(SimConfig::default())
-///     .run(&jobs);
-/// assert_eq!(report.arrived(), 32);
-/// ```
-///
-/// # Panics
-///
-/// As [`Simulation::run`].
-#[deprecated(note = "route through the `Simulation` builder: \
-                     `Simulation::new(platform).profiles(..).policy(..).run(jobs)`")]
-pub fn run_simulation(
-    profiles: &[AppProfile],
-    jobs: &[Job],
-    platform: &Platform,
-    policy: &dyn SchedulePolicy,
-    config: &SimConfig,
-) -> RuntimeReport {
-    Simulation::new(platform)
-        .profiles(profiles)
-        .policy(policy)
-        .config(*config)
-        .run(jobs)
-}
-
-/// One-shot convenience: generate `spec`'s seeded job stream against
-/// `profiles` and play it.
-///
-/// # Deprecated
-///
-/// Route through the [`Simulation`] builder instead:
-///
-/// ```
-/// use amdrel_core::Platform;
-/// use amdrel_runtime::{AppProfile, Fcfs, Simulation, WorkloadSpec};
-///
-/// let profiles = vec![AppProfile::synthetic("app", 0, 5_000, 1_000, vec![400])];
-/// let spec = WorkloadSpec::uniform(42, 32, &profiles, 110);
-/// let report = Simulation::new(&Platform::paper(1500, 2))
-///     .profiles(&profiles)
-///     .policy(&Fcfs)
-///     .run_mix(&spec);
-/// assert_eq!(report.arrived(), 32);
-/// ```
-///
-/// # Panics
-///
-/// As [`Simulation::run_mix`].
-#[deprecated(note = "route through the `Simulation` builder: \
-                     `Simulation::new(platform).profiles(..).policy(..).run_mix(spec)`")]
-pub fn simulate_mix(
-    profiles: &[AppProfile],
-    spec: &WorkloadSpec,
-    platform: &Platform,
-    policy: &dyn SchedulePolicy,
-    config: &SimConfig,
-) -> RuntimeReport {
-    Simulation::new(platform)
-        .profiles(profiles)
-        .policy(policy)
-        .config(*config)
-        .run_mix(spec)
-}
-
 /// The retained `BinaryHeap` event core, kept verbatim as the
 /// differential-testing oracle: every event (arrivals included) enters
 /// one heap ordered by `(time, seq)`. Accounting goes through the same
@@ -1580,20 +1498,6 @@ mod tests {
         );
         expect.queue = swapped.queue;
         assert_eq!(swapped, expect);
-    }
-
-    #[test]
-    fn deprecated_shims_route_through_the_builder() {
-        let p = vec![profile("a", 100, 40, vec![30])];
-        let jobs = vec![job(0, 0, 5, 100, 40, &p[0].config)];
-        let pf = platform();
-        #[allow(deprecated)]
-        let shim = run_simulation(&p, &jobs, &pf, &Fcfs, &SimConfig::default());
-        assert_eq!(shim, sim(&p, &pf).run(&jobs));
-        let spec = WorkloadSpec::uniform(7, 24, &p, 110);
-        #[allow(deprecated)]
-        let shim = simulate_mix(&p, &spec, &pf, &Fcfs, &SimConfig::default());
-        assert_eq!(shim, sim(&p, &pf).run_mix(&spec));
     }
 
     /// The tentpole acceptance test: the calendar engine is bit-identical

@@ -243,8 +243,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (ns, iters) = measure(|| Floorplanner.place(&floorplan_grid, &mix_footprints));
     report.push(("floorplan/place_standard_mix_4_regions".into(), ns, iters));
 
-    // --- Emit BENCH_engine.json (no serde in the offline vendor set, so
-    //     the JSON is assembled by hand).
+    // --- Emit BENCH_engine.json (the workspace has no JSON dependency,
+    //     so the JSON is assembled by hand).
     let mut json = String::from("{\n  \"schema\": \"amdrel-bench-report/v1\",\n  \"unit\": \"mean ns per op\",\n  \"benches\": [\n");
     for (i, (name, ns, iters)) in report.iter().enumerate() {
         let comma = if i + 1 == report.len() { "" } else { "," };

@@ -41,6 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         analysis.format_table1("Table 1 analogue — ordered total weights", 8)
     );
+    println!("paper Table 1 for comparison (BB, freq, weight, total):");
+    for r in &paper::JPEG_TABLE1 {
+        println!(
+            "  {:<6} {:>10} {:>8} {:>12}",
+            r.bb, r.exec_freq, r.ops_weight, r.total_weight
+        );
+    }
+    println!();
 
     // Scale the constraint with the image area so small trial runs keep
     // the paper's constraint-to-workload proportion.

@@ -35,6 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         analysis.format_table1("Table 1 analogue — ordered total weights", 8)
     );
+    println!("paper Table 1 for comparison (BB, freq, weight, total):");
+    for r in &paper::OFDM_TABLE1 {
+        println!(
+            "  {:<6} {:>10} {:>8} {:>12}",
+            r.bb, r.exec_freq, r.ops_weight, r.total_weight
+        );
+    }
+    println!();
 
     let base = Platform::paper(1500, 2);
     let grid = run_grid(

@@ -825,6 +825,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
             )
             .with_objectives(objectives);
             if let Some((rows, cols)) = region {
+                // The floorplan objectives split every swept area into
+                // `rows * cols` bands: each area must have room for them.
+                for &area in &space.areas {
+                    let mut fpga = base.fpga.clone();
+                    fpga.total_area = area;
+                    FabricGrid::try_shaped(fpga.usable_area(), rows * cols, 1)
+                        .map_err(|e| format!("--regions/--region-shape at A_FPGA={area}: {e}"))?;
+                }
                 evaluator = evaluator.with_regions(rows * cols);
             }
             if let Some(rt) = &contention {
@@ -921,12 +929,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let (faults, recovery) = fault_config(&opts);
             // The joint floorplan is frozen before the simulation starts,
             // so region mode stays a pure function of the flag values.
-            let plan = region.map(|(rows, cols)| {
-                RegionPlan::new(
-                    &profiles,
-                    &FabricGrid::shaped(platform.fpga.usable_area(), rows, cols),
-                )
-            });
+            let plan = match region {
+                Some((rows, cols)) => {
+                    let grid = FabricGrid::try_shaped(platform.fpga.usable_area(), rows, cols)
+                        .map_err(|e| format!("--regions/--region-shape: {e}"))?;
+                    Some(RegionPlan::new(&profiles, &grid))
+                }
+                None => None,
+            };
             // `--queue-bound 0` keeps its historical meaning: unbounded.
             let mut sim = Simulation::new(&platform)
                 .profiles(&profiles)

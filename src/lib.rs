@@ -98,8 +98,6 @@ pub mod prelude {
         RecoveryPolicy, RegionPlan, ReliabilityStats, RuntimeReport, SchedulePolicy,
         ShortestJobFirst, SimConfig, Simulation, SketchMode, WorkloadSpec,
     };
-    #[allow(deprecated)]
-    pub use amdrel_runtime::{run_simulation, simulate_mix};
     pub use amdrel_trace::{
         chrome_trace, resource_gantt, text_timeline, Profiler, TraceBuffer, TraceEvent, TraceSink,
         TrackId,

@@ -1,0 +1,191 @@
+//! The claims behind the platform sweeps and ablation tables that
+//! `examples/ablations.rs` prints, asserted on the OFDM transmitter and
+//! the 64×64 JPEG encoder.
+
+use amdrel::prelude::*;
+use amdrel_bench::{jpeg_small_prepared, ofdm_prepared, Prepared};
+use amdrel_cdfg::synth::{random_dfg, SynthConfig};
+use amdrel_core::{partition_for_energy, OpEnergyTable};
+use amdrel_finegrain::temporal_partition;
+use std::sync::OnceLock;
+
+/// Both applications, profiled once per test binary.
+fn apps() -> &'static [Prepared; 2] {
+    static APPS: OnceLock<[Prepared; 2]> = OnceLock::new();
+    APPS.get_or_init(|| [ofdm_prepared(), jpeg_small_prepared()])
+}
+
+fn ofdm() -> &'static Prepared {
+    &apps()[0]
+}
+
+fn run(app: &Prepared, platform: &Platform, constraint: u64) -> PartitionResult {
+    PartitioningEngine::new(&app.program.cdfg, &app.analysis, platform)
+        .run(constraint)
+        .expect("engine runs")
+}
+
+#[test]
+fn chaining_never_makes_cgc_cycles_worse() {
+    let on = SchedulerConfig::default();
+    let off = SchedulerConfig {
+        chaining: false,
+        ..on
+    };
+    for app in apps() {
+        for dp in [CgcDatapath::two_2x2(), CgcDatapath::three_2x2()] {
+            let with = app.kernel_cgc_cycles(&dp, &on);
+            let without = app.kernel_cgc_cycles(&dp, &off);
+            assert!(
+                with <= without,
+                "{} on {}: chaining {with} > unchained {without}",
+                app.name,
+                dp.describe()
+            );
+        }
+    }
+}
+
+#[test]
+fn final_cycles_grow_with_comm_cost_and_skipping_never_hurts() {
+    let mut last = 0;
+    for cycles_per_word in [0u64, 1, 2, 4, 8, 16, 32] {
+        let platform = Platform::paper(1500, 3).with_comm(CommModel {
+            cycles_per_word,
+            setup_cycles: 2,
+        });
+        let faithful = run(ofdm(), &platform, paper::OFDM_CONSTRAINT);
+        let skipping = PartitioningEngine::new(&ofdm().program.cdfg, &ofdm().analysis, &platform)
+            .with_config(EngineConfig {
+                skip_unprofitable: true,
+            })
+            .run(paper::OFDM_CONSTRAINT)
+            .expect("engine runs");
+        assert!(
+            faithful.final_cycles() >= last,
+            "{cycles_per_word} cycles/word: final {} below the cheaper link's {last}",
+            faithful.final_cycles()
+        );
+        assert!(
+            skipping.final_cycles() <= faithful.final_cycles(),
+            "{cycles_per_word} cycles/word: skip_unprofitable {} > faithful {}",
+            skipping.final_cycles(),
+            faithful.final_cycles()
+        );
+        last = faithful.final_cycles();
+    }
+}
+
+#[test]
+fn resident_initial_cycles_never_exceed_per_execution() {
+    for app in apps() {
+        for area in [1500u64, 5000] {
+            let mut per_exec = Platform::paper(area, 3);
+            per_exec.fpga.reconfig_policy = ReconfigPolicy::PerExecution;
+            let mut resident = per_exec.clone();
+            resident.fpga.reconfig_policy = ReconfigPolicy::Resident;
+            let per_exec = run(app, &per_exec, u64::MAX).initial_cycles;
+            let resident = run(app, &resident, u64::MAX).initial_cycles;
+            assert!(
+                resident <= per_exec,
+                "{} A={area}: Resident {resident} > PerExecution {per_exec}",
+                app.name
+            );
+        }
+    }
+}
+
+#[test]
+fn energy_moves_grow_as_the_budget_tightens_and_met_means_within_budget() {
+    let (cdfg, analysis) = (&ofdm().program.cdfg, &ofdm().analysis);
+    let platform = Platform::paper(1500, 3);
+    let model = EnergyModel::default();
+    let floor = partition_for_energy(cdfg, analysis, &platform, &model, 0).expect("runs");
+    let (ceiling, floor_e) = (floor.initial.total(), floor.energy.total());
+    let mut last_moves = 0;
+    for pct in [95u64, 80, 60, 40, 20, 5] {
+        let budget = floor_e + (ceiling - floor_e) * pct / 100;
+        let r = partition_for_energy(cdfg, analysis, &platform, &model, budget).expect("runs");
+        assert!(
+            r.moves.len() >= last_moves,
+            "budget {budget}: {} moves, fewer than a looser budget's {last_moves}",
+            r.moves.len()
+        );
+        assert_eq!(r.met, r.energy.total() <= budget, "budget {budget}");
+        last_moves = r.moves.len();
+    }
+    // The unreachable zero budget is reported as missed.
+    assert!(!floor.met);
+}
+
+#[test]
+fn cheaper_cgc_ops_never_raise_the_energy_floor() {
+    let (cdfg, analysis) = (&ofdm().program.cdfg, &ofdm().analysis);
+    let platform = Platform::paper(1500, 3);
+    let mut last = u64::MAX;
+    for ratio in [1u64, 2, 4, 8, 16] {
+        let model = EnergyModel {
+            cgc: OpEnergyTable {
+                alu: 8 / ratio.min(8),
+                mul: 40 / ratio.min(40),
+                div: 160 / ratio.min(160),
+                mem: 12,
+            },
+            ..EnergyModel::default()
+        };
+        let floor = partition_for_energy(cdfg, analysis, &platform, &model, 0)
+            .expect("runs")
+            .energy
+            .total();
+        assert!(floor <= last, "ratio {ratio}x: floor {floor} > {last}");
+        last = floor;
+    }
+}
+
+#[test]
+fn initial_cycles_never_grow_with_fpga_area() {
+    let mut last = u64::MAX;
+    for area in [1200u64, 1500, 2500, 5000, 10_000, 20_000, 40_000, 80_000] {
+        let initial = run(ofdm(), &Platform::paper(area, 3), u64::MAX).initial_cycles;
+        assert!(initial <= last, "A={area}: initial {initial} > {last}");
+        last = initial;
+    }
+}
+
+#[test]
+fn coarse_cycles_never_grow_as_cgcs_are_added() {
+    for app in apps() {
+        let mut last = u64::MAX;
+        for count in [1usize, 2, 3, 4, 6] {
+            let dp = CgcDatapath::uniform(count, CgcGeometry::TWO_BY_TWO);
+            let cycles = app.kernel_cgc_cycles(&dp, &SchedulerConfig::default());
+            assert!(
+                cycles <= last,
+                "{} with {count} 2x2 CGCs: {cycles} > {last}",
+                app.name
+            );
+            last = cycles;
+        }
+    }
+}
+
+#[test]
+fn figure3_needs_no_more_partitions_on_the_larger_device() {
+    for nodes in [32usize, 128, 512, 2048] {
+        let dfg = random_dfg(
+            7,
+            &SynthConfig {
+                nodes,
+                ..SynthConfig::default()
+            },
+        );
+        let small = temporal_partition(&dfg, &FpgaDevice::new(1500)).expect("maps");
+        let large = temporal_partition(&dfg, &FpgaDevice::new(5000)).expect("maps");
+        assert!(
+            large.len() <= small.len(),
+            "{nodes} nodes: {} partitions at A=5000 > {} at A=1500",
+            large.len(),
+            small.len()
+        );
+    }
+}

@@ -729,6 +729,45 @@ fn helpful_errors() {
     assert!(stderr.contains("name=v"));
 }
 
+/// Runs `args` expecting exit code 1 with a single `error:` line (no
+/// panic) that contains `needle`.
+fn expect_one_line_error(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_amdrel"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+    assert!(errors[0].contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn empty_loop_exhausts_the_step_budget() {
+    let src = write_source("empty_loop.c", "int main() { while (1) { } return 0; }");
+    expect_one_line_error(&["analyze", src.to_str().unwrap()], "step limit");
+}
+
+#[test]
+fn oversized_region_grids_are_usage_errors() {
+    expect_one_line_error(&["simulate", "--regions", "64"], "quantise to");
+    expect_one_line_error(&["simulate", "--region-shape", "64x64"], "quantise to");
+    let src = write_source("fir_regions.c", FIR);
+    expect_one_line_error(
+        &[
+            "explore",
+            src.to_str().unwrap(),
+            "--objectives",
+            "cycles,area,fragmentation",
+            "--regions",
+            "64",
+        ],
+        "quantise to",
+    );
+}
+
 #[test]
 fn help_lists_subcommands() {
     let (ok, stdout, _) = amdrel(&["--help"]);

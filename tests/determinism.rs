@@ -7,7 +7,7 @@
 //! design and are only checked for presence, never for value.
 //!
 //! The committed files are hand-emitted JSON with a fixed shape (the
-//! offline vendor set has no serde_json), so field access here is a
+//! workspace has no JSON dependency), so field access here is a
 //! small brace-matching extractor rather than a full parser.
 
 use amdrel::prelude::*;
@@ -67,9 +67,7 @@ fn raw<'a>(obj: &'a str, key: &str) -> &'a str {
         .find(&pat)
         .unwrap_or_else(|| panic!("no field '{key}' in: {obj:.80}…"));
     let rest = &obj[at + pat.len()..];
-    let end = rest
-        .find([',', '}', '\n'])
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
     rest[..end].trim()
 }
 
