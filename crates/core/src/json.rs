@@ -9,7 +9,6 @@
 
 use crate::cache::CacheStats;
 use crate::experiment::ExperimentGrid;
-use crate::metrics::MetricsRegistry;
 use std::fmt::Write as _;
 
 /// Escape `s` for use inside a JSON string literal.
@@ -67,21 +66,15 @@ pub fn cache_to_json(stats: &CacheStats) -> String {
     )
 }
 
-/// Publish mapping-cache counters into `metrics` under the `cache.`
-/// prefix (the shared shape of every `--json` report's cache metrics).
-pub fn publish_cache_metrics(metrics: &mut MetricsRegistry, stats: &CacheStats) {
-    metrics.set("cache.fine_hits", stats.fine_hits);
-    metrics.set("cache.fine_misses", stats.fine_misses);
-    metrics.set("cache.coarse_hits", stats.coarse_hits);
-    metrics.set("cache.coarse_misses", stats.coarse_misses);
-    metrics.set("cache.entries", stats.entries);
-}
-
 /// Render an [`ExperimentGrid`] (the `sweep` subcommand's result) plus
-/// its cache counters as JSON.
+/// its cache counters as JSON (schema `amdrel-sweep/v3`).
+///
+/// v3 drops v2's `"metrics"` object: its `cache.*` entries copied
+/// `"cache"`, and its `engine.*` entries were derivable from `"cells"`
+/// (moves from the `moved_blocks` lengths, cells from the array length).
 pub fn grid_to_json(grid: &ExperimentGrid, cache: &CacheStats) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"amdrel-sweep/v2\",\n");
+    out.push_str("{\n  \"schema\": \"amdrel-sweep/v3\",\n");
     let _ = writeln!(out, "  \"app\": \"{}\",", escape(&grid.app));
     let _ = writeln!(out, "  \"constraint\": {},", grid.constraint);
     out.push_str("  \"cells\": [\n");
@@ -112,18 +105,7 @@ pub fn grid_to_json(grid: &ExperimentGrid, cache: &CacheStats) -> String {
         });
     }
     out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"cache\": {},", cache_to_json(cache));
-    let mut metrics = MetricsRegistry::new();
-    publish_cache_metrics(&mut metrics, cache);
-    let (mut moves, mut reverts) = (0u64, 0u64);
-    for cell in &grid.cells {
-        moves += cell.result.moves.len() as u64;
-        reverts += cell.result.moves_reverted;
-    }
-    metrics.set("engine.moves", moves);
-    metrics.set("engine.reverts", reverts);
-    metrics.set("engine.cells", grid.cells.len() as u64);
-    let _ = writeln!(out, "  \"metrics\": {}", metrics.to_json());
+    let _ = writeln!(out, "  \"cache\": {}", cache_to_json(cache));
     out.push_str("}\n");
     out
 }

@@ -31,9 +31,7 @@
 //!   temporal partition, for the multi-tenant runtime simulator
 //!   (`amdrel-runtime`);
 //! * [`json`] — the shared hand-rolled JSON writer behind every `--json`
-//!   output (`sweep`, `explore`, `simulate`);
-//! * [`metrics`] — the dependency-free counter registry every `--json`
-//!   report surfaces as its `metrics` object.
+//!   output (`sweep`, `explore`, `simulate`).
 //!
 //! # Examples
 //!
@@ -72,7 +70,6 @@ mod engine;
 mod experiment;
 mod flow;
 pub mod json;
-pub mod metrics;
 mod pipeline;
 mod platform;
 pub mod rng;
@@ -90,7 +87,6 @@ pub use experiment::{
     run_grid_parallel_jobs, ExperimentGrid, GridCell, GridSpec,
 };
 pub use flow::{run_flow, run_flow_cached, run_flow_with, FlowOutcome};
-pub use metrics::MetricsRegistry;
 pub use pipeline::{pipeline_report, PipelineReport, Stage};
 pub use platform::{CommModel, Platform, ReconfigModel};
 

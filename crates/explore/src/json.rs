@@ -2,19 +2,20 @@
 //!
 //! The generic writer (string escaping, cache counters, sweep grids)
 //! lives in [`amdrel_core::json`] so every `--json` output in the
-//! workspace shares one renderer; this module re-exports it and adds the
-//! [`ExploreReport`] shape.
+//! workspace shares one renderer; this module adds the [`ExploreReport`]
+//! shape.
 //!
-//! # Schema `amdrel-explore/v3`
+//! # Schema `amdrel-explore/v4`
 //!
-//! The v2→v3 bump adds the flat `"metrics"` object: a dotted-path
-//! counter registry ([`amdrel_core::MetricsRegistry`]) flattening the
-//! evaluator effort (`eval.*`), mapping-cache traffic (`cache.*`) and
-//! archive churn (`archive.inserts`, `archive.pruned`,
-//! `archive.frontier`). Every v2 key is retained unchanged.
+//! The v3→v4 bump drops v3's flat `"metrics"` object, whose entries
+//! copied `"effort"` and `"cache"` or equalled the frontier length. The
+//! two facts only it held move to the end of `"effort"` as
+//! `"archive_inserts"` and `"archive_pruned"` (lifetime Pareto-archive
+//! churn). Every other v3 key is retained unchanged.
 //!
-//! Earlier history — the v1→v2 bump accompanied the N-objective
-//! generalisation (see `docs/BENCHMARKS.md` for the migration notes):
+//! Earlier history — v3 added the `"metrics"` object; the v1→v2 bump
+//! accompanied the N-objective generalisation (see `docs/BENCHMARKS.md`
+//! for the migration notes):
 //!
 //! * a top-level `"objectives"` array names the minimised objectives in
 //!   vector order;
@@ -28,32 +29,14 @@
 //!   `reconfig_stall_cycles`, and the reliability pair
 //!   `p95_under_faults` / `degraded_permille`).
 
-pub use amdrel_core::json::{cache_to_json, escape, grid_to_json, string_array, u64_array};
-
 use crate::report::ExploreReport;
-use amdrel_core::json::publish_cache_metrics;
-use amdrel_core::MetricsRegistry;
+use amdrel_core::json::{cache_to_json, escape, string_array, u64_array};
 use std::fmt::Write as _;
 
-/// Flatten an exploration's effort counters into a [`MetricsRegistry`]
-/// — the `metrics` object of the `--json` report.
-pub fn explore_metrics(report: &ExploreReport) -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    m.set("eval.points", report.stats.points_evaluated);
-    m.set("eval.engine_runs", report.stats.engine_runs);
-    m.set("eval.cell_hits", report.stats.cell_hits);
-    m.set("eval.sim_runs", report.stats.sim_runs);
-    publish_cache_metrics(&mut m, &report.cache);
-    m.set("archive.inserts", report.archive_inserts);
-    m.set("archive.pruned", report.archive_pruned);
-    m.set("archive.frontier", report.frontier.len() as u64);
-    m
-}
-
-/// Render an [`ExploreReport`] as JSON (schema `amdrel-explore/v3`).
+/// Render an [`ExploreReport`] as JSON (schema `amdrel-explore/v4`).
 pub fn report_to_json(report: &ExploreReport) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"amdrel-explore/v3\",\n");
+    out.push_str("{\n  \"schema\": \"amdrel-explore/v4\",\n");
     let _ = writeln!(out, "  \"app\": \"{}\",", escape(&report.app));
     let _ = writeln!(out, "  \"strategy\": \"{}\",", escape(&report.strategy));
     let _ = writeln!(
@@ -72,14 +55,15 @@ pub fn report_to_json(report: &ExploreReport) -> String {
     let _ = writeln!(
         out,
         "  \"effort\": {{\"points_evaluated\": {}, \"engine_runs\": {}, \"cell_hits\": {}, \
-         \"sim_runs\": {}}},",
+         \"sim_runs\": {}, \"archive_inserts\": {}, \"archive_pruned\": {}}},",
         report.stats.points_evaluated,
         report.stats.engine_runs,
         report.stats.cell_hits,
-        report.stats.sim_runs
+        report.stats.sim_runs,
+        report.archive_inserts,
+        report.archive_pruned
     );
     let _ = writeln!(out, "  \"cache\": {},", cache_to_json(&report.cache));
-    let _ = writeln!(out, "  \"metrics\": {},", explore_metrics(report).to_json());
     out.push_str("  \"frontier\": [\n");
     for (i, p) in report.frontier.iter().enumerate() {
         let _ = write!(

@@ -32,10 +32,9 @@
 //!   seeded from [`amdrel_core::rng::SplitMix64`] so frontiers are
 //!   bit-reproducible and `--jobs`-independent;
 //! * [`explore`] / [`ExploreReport`] — one-call driver with effort
-//!   counters (evaluator, mapping cache and archive churn, flattened
-//!   into an [`amdrel_core::MetricsRegistry`] by
-//!   [`json::explore_metrics`]), a paper-style table, and [`json`]
-//!   rendering (schema `amdrel-explore/v3`).
+//!   counters (evaluator, mapping cache and archive churn), a
+//!   paper-style table, and [`json`] rendering (schema
+//!   `amdrel-explore/v4`).
 //!
 //! # Examples
 //!
@@ -424,12 +423,17 @@ mod tests {
         )
         .unwrap();
         let json = json::report_to_json(&report);
-        assert!(json.contains("\"schema\": \"amdrel-explore/v3\""));
+        assert!(json.contains("\"schema\": \"amdrel-explore/v4\""));
         assert!(json.contains("\"objectives\": [\"cycles\", \"area\", \"energy\"]"));
         assert!(json.contains("\"frontier\""));
-        assert!(json.contains("\"metrics\""));
-        assert!(json.contains("\"archive.inserts\""));
-        assert!(json.contains("\"eval.sim_runs\": 0"));
+        // Each fact is said once: no `metrics` copy of `effort`/`cache`,
+        // and the archive churn it alone held now closes `effort`.
+        assert!(!json.contains("\"metrics\""));
+        assert!(report.archive_inserts > 0, "the search filled the archive");
+        assert!(json.contains(&format!(
+            "\"sim_runs\": 0, \"archive_inserts\": {}, \"archive_pruned\": {}}}",
+            report.archive_inserts, report.archive_pruned
+        )));
         assert_eq!(
             json.matches("{\"area\":").count(),
             report.frontier.len(),

@@ -44,14 +44,49 @@ pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
     Parser::new(tokens).program()
 }
 
+/// Deepest nesting the parser accepts. Every nested statement, every
+/// expression (parenthesised, call argument, index, ternary arm) and
+/// every prefix operator counts one level. The OFDM, JPEG and Sobel
+/// case studies reach six levels, so 128 is far above real input.
+/// It is also safe on a debug build's 2 MiB test-thread stack:
+/// parentheses, the costliest shape, take about 7 KiB of debug stack
+/// per level, so the limit uses roughly half of it, and the recursive
+/// passes after parsing need less. Without a bound, 20,000 nested
+/// parentheses overflow the stack and abort the process.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(tokens: &'a [Token]) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run `parse` one nesting level deeper, failing at the current
+    /// token once the nesting passes [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(CompileError::new(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     fn peek(&self) -> &TokenKind {
@@ -251,7 +286,7 @@ impl<'a> Parser<'a> {
             if self.peek() == &TokenKind::Eof {
                 return Err(CompileError::new("unterminated block", self.span()));
             }
-            body.push(self.stmt()?);
+            body.push(self.nested(Self::stmt)?);
         }
         self.expect(&TokenKind::RBrace)?;
         Ok(body)
@@ -409,7 +444,7 @@ impl<'a> Parser<'a> {
         if self.peek() == &TokenKind::LBrace {
             self.block()
         } else {
-            Ok(vec![self.stmt()?])
+            Ok(vec![self.nested(Self::stmt)?])
         }
     }
 
@@ -533,7 +568,7 @@ impl<'a> Parser<'a> {
     // ---- expressions: precedence climbing ------------------------------
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, CompileError> {
@@ -542,7 +577,7 @@ impl<'a> Parser<'a> {
             let span = cond.span();
             let then_val = self.expr()?;
             self.expect(&TokenKind::Colon)?;
-            let else_val = self.ternary()?;
+            let else_val = self.nested(Self::ternary)?;
             Ok(Expr::Ternary {
                 cond: Box::new(cond),
                 then_val: Box::new(then_val),
@@ -621,7 +656,7 @@ impl<'a> Parser<'a> {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             return Ok(Expr::Unary {
                 op,
                 operand: Box::new(operand),
@@ -955,6 +990,70 @@ mod tests {
         let src = format!("int f() {{ return {expr}; }}");
         let p = parse_src(&src);
         assert_eq!(p.functions.len(), 1);
+    }
+
+    /// `main` nesting `levels` deep in each shape the parser bounds:
+    /// the innermost return statement and its expression take two
+    /// levels, and every paren, `if` block, prefix `-` or ternary else
+    /// arm adds one.
+    fn nested_programs(levels: usize) -> [String; 4] {
+        let n = levels - 2;
+        [
+            format!(
+                "int main() {{ return {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!(
+                "int main() {{ {}return 1; {}return 0; }}",
+                "if (1) { ".repeat(n),
+                "} ".repeat(n)
+            ),
+            format!("int main() {{ return {}1; }}", "- ".repeat(n)),
+            format!("int main() {{ return {}1; }}", "1 ? 1 : ".repeat(n)),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_positioned_error() {
+        for src in nested_programs(MAX_NESTING + 1) {
+            let e = parse_err(&src);
+            assert!(
+                e.to_string()
+                    .ends_with(&format!("nesting deeper than {MAX_NESTING} levels")),
+                "{e}"
+            );
+            assert_eq!(e.span().line, 1);
+            assert!(e.span().col > 1, "points into the nesting: {e}");
+        }
+        // Parens fail at the operand inside the innermost one: the
+        // expression that would open level `MAX_NESTING + 1`.
+        let parens = &nested_programs(MAX_NESTING + 1)[0];
+        let e = parse_err(parens);
+        assert_eq!(&parens[e.span().start..e.span().end], "1");
+        assert_eq!(
+            e.span().start,
+            "int main() { return ".len() + MAX_NESTING - 1
+        );
+    }
+
+    #[test]
+    fn nesting_at_the_limit_compiles_on_a_2_mib_stack() {
+        // The default test-thread stack: the whole frontend (parse,
+        // sema, lowering, inlining, CDFG) must fit at the limit even
+        // in a debug build.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for src in nested_programs(MAX_NESTING) {
+                    if let Err(e) = crate::compile(&src, "main") {
+                        panic!("{e}: {}", &src[..60]);
+                    }
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow at the nesting limit");
     }
 
     #[test]

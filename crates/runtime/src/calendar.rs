@@ -24,8 +24,9 @@ struct Entry<T> {
     item: T,
 }
 
-/// Observable internals of the calendar queue — the event-structure
-/// half of a [`RuntimeReport`](crate::RuntimeReport)'s `metrics`.
+/// Observable internals of the calendar queue — a
+/// [`RuntimeReport`](crate::RuntimeReport)'s `queue` field, rendered as
+/// the `"queue"` object of the `--json` report.
 ///
 /// All fields derive purely from the deterministic event stream, so
 /// two runs of one scenario snapshot identical stats.

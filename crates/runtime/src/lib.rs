@@ -54,8 +54,8 @@
 //!   metrics ([`ReliabilityStats`]: injected/retried/degraded/aborted
 //!   counts, availability, goodput vs raw throughput, fault-conditioned
 //!   p95s) and calendar-queue internals ([`CalendarStats`]); renders as
-//!   a table or JSON (schema `amdrel-simulate/v4`, with a flat `metrics`
-//!   registry via [`RuntimeReport::metrics`]);
+//!   a table or JSON (schema `amdrel-simulate/v5`, each counter in
+//!   exactly one report object);
 //! * **tracing** — [`Simulation::trace`] attaches an
 //!   [`amdrel_trace::TraceSink`] the engine emits per-job lifecycle
 //!   events into (arrival, queueing, per-region reconfiguration, fine

@@ -8,7 +8,6 @@ use crate::fault::{FaultSpec, RecoveryPolicy};
 use crate::sim::SimConfig;
 use crate::sketch::{LatencySketch, LatencySource};
 use amdrel_core::json::escape;
-use amdrel_core::MetricsRegistry;
 use std::fmt::Write as _;
 
 /// Nearest-rank percentile of a latency sample (`q` in percent).
@@ -261,36 +260,6 @@ impl RuntimeReport {
         disposed as f64 * 1_000_000.0 / self.makespan as f64
     }
 
-    /// Flatten the run's counters into a [`MetricsRegistry`] under
-    /// dotted-path names (`queue.events`, `faults.injected`,
-    /// `recovery.retries`, `sim.reconfig_loads`, …). This is the
-    /// `metrics` object of the `--json` report; values are copies of
-    /// report fields, so the registry is as deterministic as the report.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.set("sim.makespan", self.makespan);
-        m.set("sim.arrived", self.arrived());
-        m.set("sim.completed", self.completed());
-        m.set("sim.rejected", self.rejected());
-        m.set("sim.fpga_busy_cycles", self.fpga_busy_cycles);
-        m.set("sim.reconfig_stall_cycles", self.reconfig_stall_cycles);
-        m.set("sim.reconfig_loads", self.reconfig_loads);
-        m.set("sim.cgc_busy_cycles", self.cgc_busy_cycles);
-        m.set("queue.events", self.queue.events);
-        m.set("queue.rehashes", self.queue.rehashes);
-        m.set("queue.peak_occupancy", self.queue.peak_occupancy);
-        m.set("queue.day_width", self.queue.day_width);
-        m.set("faults.injected", self.reliability.injected);
-        m.set("faults.load_failures", self.reliability.load_failures);
-        m.set("faults.fabric_kills", self.reliability.fabric_kills);
-        m.set("faults.slot_outages", self.reliability.slot_outages);
-        m.set("recovery.retries", self.reliability.retries);
-        m.set("recovery.degraded", self.reliability.degraded);
-        m.set("recovery.aborted", self.reliability.aborted);
-        m.set("recovery.deadline_misses", self.reliability.deadline_misses);
-        m
-    }
-
     /// Human-readable summary table.
     pub fn format_table(&self) -> String {
         let mut out = String::new();
@@ -380,18 +349,19 @@ impl RuntimeReport {
 }
 
 /// Render a [`RuntimeReport`] as deterministic JSON
-/// (schema `amdrel-simulate/v4`).
+/// (schema `amdrel-simulate/v5`).
 ///
-/// v4 additions over v3: the `queue` object (calendar-queue internals:
-/// events scheduled, rehashes, peak occupancy, day width) and the
-/// `metrics` object (the [`RuntimeReport::metrics`] registry, flat
-/// dotted-path counters). Every v3 key is retained unchanged. Earlier
-/// history: v3 added `faults`, `recovery` and `reliability`; v2 added
-/// the `latency_source` provenance field in `totals`; `queue_bound`
-/// keeps the v1 convention of `0` meaning unbounded.
+/// v5 drops v4's flat `metrics` object: every entry copied a field of
+/// `totals`, `fabric`, `cgc`, `queue` or `reliability`. Every other v4
+/// key is retained unchanged. Earlier history: v4 added the `queue`
+/// object (calendar-queue internals: events scheduled, rehashes, peak
+/// occupancy, day width) and `metrics`; v3 added `faults`, `recovery`
+/// and `reliability`; v2 added the `latency_source` provenance field in
+/// `totals`; `queue_bound` keeps the v1 convention of `0` meaning
+/// unbounded.
 pub fn report_to_json(report: &RuntimeReport) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"amdrel-simulate/v4\",\n");
+    out.push_str("{\n  \"schema\": \"amdrel-simulate/v5\",\n");
     let _ = writeln!(out, "  \"policy\": \"{}\",", escape(&report.policy));
     let _ = writeln!(
         out,
@@ -487,7 +457,6 @@ pub fn report_to_json(report: &RuntimeReport) -> String {
         report.goodput_jobs_per_mcycle(),
         report.throughput_jobs_per_mcycle()
     );
-    let _ = writeln!(out, "  \"metrics\": {},", report.metrics().to_json());
     out.push_str("  \"apps\": [\n");
     for (i, a) in report.apps.iter().enumerate() {
         let _ = write!(
@@ -603,12 +572,13 @@ mod tests {
     fn json_and_table_shapes() {
         let r = toy_report();
         let json = report_to_json(&r);
-        assert!(json.contains("\"schema\": \"amdrel-simulate/v4\""));
+        assert!(json.contains("\"schema\": \"amdrel-simulate/v5\""));
         assert!(json.contains("\"apps\""));
-        assert!(json.contains("\"queue\""));
-        assert!(json.contains("\"metrics\""));
-        assert!(json.contains("\"queue.events\": 0"));
-        assert!(json.contains("\"sim.makespan\": 1000"));
+        // Each counter is said once, in its report object: no `metrics`
+        // copy of `queue` or `totals`.
+        assert!(!json.contains("\"metrics\""));
+        assert!(json.contains("\"queue\": {\"events\": 0,"));
+        assert!(json.contains("\"makespan\": 1000,"));
         assert!(json.contains("\"p95_latency\":5"));
         assert!(json.contains("\"latency_source\": \"exact\""));
         assert!(json.contains("\"queue_bound\": 0"), "None renders as 0");

@@ -44,7 +44,7 @@
 //! single-threaded engine untouched), and a workload whose jobs all
 //! target one application leaves every shard but one silent — so both
 //! degenerate cases are *byte*-identical to the unsharded oracle,
-//! report, JSON, metrics and trace included.
+//! report, JSON and trace included.
 
 use crate::calendar::CalendarStats;
 use crate::report::RuntimeReport;

@@ -1015,7 +1015,7 @@ impl<'a> Simulation<'a> {
     ///
     /// The merged report is a pure function of the inputs: every
     /// deterministic field (counters, makespan, latency percentiles,
-    /// per-app stats, JSON, metrics) is independent of `k`'s thread
+    /// per-app stats, JSON) is independent of `k`'s thread
     /// scheduling, and identical to folding the shards serially. With
     /// `k == 1` — the default — the run routes through the
     /// single-threaded engine untouched, bit for bit. A workload whose

@@ -262,7 +262,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = writeln!(
         json,
         "  \"app\": \"{}\",",
-        amdrel::explore::json::escape(&workload.name)
+        amdrel::core::json::escape(&workload.name)
     );
     let _ = writeln!(
         json,

@@ -99,8 +99,9 @@
 //! the simulated scenario, not a pure observer.
 //!
 //! Exit status: `amdrel <cmd> --help` prints that subcommand's usage on
-//! stdout and exits 0; an unknown subcommand or malformed flags print
-//! the usage on stderr and exit 1.
+//! stdout and exits 0. Every error exits 1 with one `error:` line on
+//! stderr; a missing or unknown subcommand adds the global usage line,
+//! and a malformed flag adds that subcommand's usage.
 
 use amdrel::prelude::*;
 use amdrel_coarsegrain::CgcDatapath;
@@ -109,8 +110,8 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: amdrel <analyze|partition|sweep|explore|simulate|trace|dot> [<src.c>] \
                      [flags] — run 'amdrel --help' for the full flag list";
 
-/// Per-subcommand usage lines (printed by `amdrel <cmd> --help` and on
-/// subcommand-specific errors).
+/// Per-subcommand usage lines (printed by `amdrel <cmd> --help` and
+/// after a malformed flag).
 const SUBCOMMANDS: &[(&str, &str)] = &[
     (
         "analyze",
@@ -159,7 +160,10 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
             "    --app ofdm|jpeg|sobel (repeatable)   --policy fcfs|sjf|priority|affinity\n",
             "    --seed S   --njobs N   --load PCT | --arrival CYCLES   --queue-bound N\n",
             "    --no-config-cache   --prefetch   --sketch auto|exact|sketched\n",
-            "    --area A   --cgcs K   --shards K\n",
+            "    --area A   --cgcs K\n",
+            "    --shards K   run K platform replicas, tenant i on replica i % K (tenants on\n",
+            "                 different replicas never contend, so latencies are not\n",
+            "                 comparable with --shards 1)\n",
             "  faults:\n",
             "    --fault-rate PERMILLE   --fault-seed S   --deadline CYCLES\n",
             "    --max-retries N   --degrade\n",
@@ -198,7 +202,6 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -215,13 +218,13 @@ struct Options {
     top: usize,
     block: Option<u32>,
     skip_unprofitable: bool,
-    strategy: String,
+    strategy: Box<dyn SearchStrategy>,
     seed: u64,
     budget: usize,
     jobs: usize,
     json: bool,
     max_kernels: usize,
-    objectives: String,
+    objectives: ObjectiveSet,
     apps: Vec<String>,
     policy: String,
     njobs: usize,
@@ -230,7 +233,7 @@ struct Options {
     queue_bound: usize,
     no_config_cache: bool,
     prefetch: bool,
-    sketch: String,
+    sketch: SketchMode,
     fault_rate: u16,
     fault_seed: u64,
     deadline: Option<u64>,
@@ -239,6 +242,8 @@ struct Options {
     reconfig: Option<String>,
     regions: Option<usize>,
     region_shape: Option<(usize, usize)>,
+    /// The region grid the reconfig flags resolve to (see [`region_grid`]).
+    region: Option<(usize, usize)>,
     shards: usize,
     trace: Option<String>,
     trace_format: String,
@@ -264,13 +269,13 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
         top: 8,
         block: None,
         skip_unprofitable: false,
-        strategy: "sa".to_owned(),
+        strategy: Box::new(SimulatedAnnealing::default()),
         seed: 42,
         budget: 64,
         jobs: 0,
         json: false,
         max_kernels: 8,
-        objectives: "cycles,area,energy".to_owned(),
+        objectives: ObjectiveSet::parse("cycles,area,energy").expect("default objectives"),
         apps: Vec::new(),
         policy: "fcfs".to_owned(),
         njobs: 64,
@@ -279,7 +284,7 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
         queue_bound: 0,
         no_config_cache: false,
         prefetch: false,
-        sketch: "auto".to_owned(),
+        sketch: SketchMode::Auto,
         fault_rate: 0,
         fault_seed: 7,
         deadline: None,
@@ -288,6 +293,7 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
         reconfig: None,
         regions: None,
         region_shape: None,
+        region: None,
         shards: 1,
         trace: None,
         trace_format: "chrome".to_owned(),
@@ -364,7 +370,18 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                 );
             }
             "--skip-unprofitable" => opts.skip_unprofitable = true,
-            "--strategy" => opts.strategy = value_of("--strategy")?,
+            "--strategy" => {
+                opts.strategy = match value_of("--strategy")?.as_str() {
+                    "exhaustive" => Box::new(Exhaustive),
+                    "random" => Box::new(RandomSampling),
+                    "sa" => Box::new(SimulatedAnnealing::default()),
+                    other => {
+                        return Err(format!(
+                            "unknown strategy '{other}' (expected exhaustive, random or sa)"
+                        ))
+                    }
+                };
+            }
             "--seed" => {
                 opts.seed = value_of("--seed")?
                     .parse()
@@ -386,13 +403,26 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                     .parse()
                     .map_err(|e| format!("--max-kernels: {e}"))?;
             }
-            "--objectives" => opts.objectives = value_of("--objectives")?,
+            "--objectives" => opts.objectives = ObjectiveSet::parse(&value_of("--objectives")?)?,
             "--app" => {
-                let v = value_of("--app")?;
-                opts.apps
-                    .extend(v.split(',').filter(|s| !s.is_empty()).map(str::to_owned));
+                for app in value_of("--app")?.split(',').filter(|s| !s.is_empty()) {
+                    if !matches!(app, "ofdm" | "jpeg" | "sobel") {
+                        return Err(format!(
+                            "unknown app '{app}' (expected ofdm, jpeg or sobel)"
+                        ));
+                    }
+                    opts.apps.push(app.to_owned());
+                }
             }
-            "--policy" => opts.policy = value_of("--policy")?,
+            "--policy" => {
+                let v = value_of("--policy")?;
+                if policy_by_name(&v).is_none() {
+                    return Err(format!(
+                        "unknown policy '{v}' (expected fcfs, sjf, priority or affinity)"
+                    ));
+                }
+                opts.policy = v;
+            }
             "--njobs" => {
                 opts.njobs = value_of("--njobs")?
                     .parse()
@@ -423,7 +453,12 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
             }
             "--no-config-cache" => opts.no_config_cache = true,
             "--prefetch" => opts.prefetch = true,
-            "--sketch" => opts.sketch = value_of("--sketch")?,
+            "--sketch" => {
+                let v = value_of("--sketch")?;
+                opts.sketch = SketchMode::parse(&v).ok_or_else(|| {
+                    format!("unknown sketch mode '{v}' (expected auto, exact or sketched)")
+                })?;
+            }
             "--fault-rate" => {
                 let rate: u16 = value_of("--fault-rate")?
                     .parse()
@@ -475,7 +510,15 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                 opts.trace_format = v;
             }
             "--profile" => opts.profile = true,
-            "--reconfig" => opts.reconfig = Some(value_of("--reconfig")?),
+            "--reconfig" => {
+                let v = value_of("--reconfig")?;
+                if !matches!(v.as_str(), "streamed" | "region" | "free") {
+                    return Err(format!(
+                        "unknown reconfig model '{v}' (expected streamed, region or free)"
+                    ));
+                }
+                opts.reconfig = Some(v);
+            }
             "--regions" => {
                 let n: usize = value_of("--regions")?
                     .parse()
@@ -509,6 +552,10 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
             other => positional.push(other.to_owned()),
         }
     }
+    if opts.load.is_some() && opts.arrival.is_some() {
+        return Err("--load and --arrival are mutually exclusive".to_owned());
+    }
+    opts.region = region_grid(&opts)?;
     match (with_source, positional.len()) {
         (true, 0) => Err("missing source file".to_owned()),
         (true, 1) => {
@@ -527,13 +574,6 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
 /// horizontal bands.
 fn region_grid(opts: &Options) -> Result<Option<(usize, usize)>, String> {
     let mode = opts.reconfig.as_deref();
-    if let Some(m) = mode {
-        if !matches!(m, "streamed" | "region" | "free") {
-            return Err(format!(
-                "unknown reconfig model '{m}' (expected streamed, region or free)"
-            ));
-        }
-    }
     if opts.regions.is_some() && opts.region_shape.is_some() {
         return Err("--regions and --region-shape are mutually exclusive".to_owned());
     }
@@ -610,11 +650,7 @@ fn render_trace(events: &[TraceEvent], format: &str) -> String {
 
 fn run(args: Vec<String>) -> Result<(), String> {
     let Some((command, rest)) = args.split_first() else {
-        return Err(
-            "usage: amdrel <analyze|partition|sweep|explore|simulate|trace|dot> [<src.c>] [flags] \
-             (see --help)"
-                .to_owned(),
-        );
+        return Err(format!("no command given\n{USAGE}"));
     };
     if command == "--help" || command == "help" {
         println!("amdrel — hybrid reconfigurable platform partitioning");
@@ -626,7 +662,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let Some(cmd_usage) = usage_for(command) else {
         let names: Vec<&str> = SUBCOMMANDS.iter().map(|(n, _)| *n).collect();
         return Err(format!(
-            "unknown command '{command}' (expected one of: {})",
+            "unknown command '{command}' (expected one of: {})\n{USAGE}",
             names.join(", ")
         ));
     };
@@ -715,7 +751,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             if opts.json {
                 print!(
                     "{}",
-                    amdrel::explore::json::grid_to_json(&grid, &cache.stats())
+                    amdrel::core::json::grid_to_json(&grid, &cache.stats())
                 );
                 return Ok(());
             }
@@ -731,7 +767,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         "explore" => {
-            let objectives = ObjectiveSet::parse(&opts.objectives)?;
+            let objectives = opts.objectives.clone();
             if opts.trace.is_some() && !objectives.needs_runtime() {
                 return Err(
                     "--trace on explore needs a runtime objective (p95, throughput, \
@@ -740,18 +776,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                         .to_owned(),
                 );
             }
-            let region = region_grid(&opts)?;
+            let region = opts.region;
             let (program, analysis) = analyzed(&opts)?;
-            let strategy: Box<dyn SearchStrategy> = match opts.strategy.as_str() {
-                "exhaustive" => Box::new(Exhaustive),
-                "random" => Box::new(RandomSampling),
-                "sa" => Box::new(SimulatedAnnealing::default()),
-                other => {
-                    return Err(format!(
-                        "unknown strategy '{other}' (expected exhaustive, random or sa)"
-                    ))
-                }
-            };
             let mut base = Platform::paper(opts.areas[0], opts.cgc_list[0]);
             if opts.reconfig.as_deref() == Some("free") {
                 base = base.with_reconfig(ReconfigModel::free());
@@ -761,12 +787,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             // by simulating the explored source alongside the built-in
             // case studies as background tenants.
             let contention = if objectives.needs_runtime() {
-                let policy = policy_by_name(&opts.policy).ok_or_else(|| {
-                    format!(
-                        "unknown policy '{}' (expected fcfs, sjf, priority or affinity)",
-                        opts.policy
-                    )
-                })?;
+                let policy = policy_by_name(&opts.policy).expect("--policy validated when parsed");
                 let background = amdrel::apps::runtime::standard_mix(&base)
                     .map_err(|e| format!("building background tenants: {e}"))?;
                 // Pin one absolute arrival rate (derived from the
@@ -846,7 +867,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let profiler = Profiler::new();
             let report = profiler
                 .time("explore.search", || {
-                    explore(&evaluator, &space, strategy.as_ref(), &config)
+                    explore(&evaluator, &space, opts.strategy.as_ref(), &config)
                 })
                 .map_err(|e| e.to_string())?;
             if let Some(path) = &opts.trace {
@@ -882,7 +903,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         // `trace` is `simulate` with tracing forced on and the rendered
         // trace (rather than the report) as the stdout artefact.
         "simulate" | "trace" => {
-            let region = region_grid(&opts)?;
+            let region = opts.region;
             let mut platform = Platform::paper(opts.area, opts.cgcs);
             if opts.reconfig.as_deref() == Some("free") {
                 platform = platform.with_reconfig(ReconfigModel::free());
@@ -898,34 +919,16 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     "ofdm" => amdrel::apps::runtime::ofdm_profile(&platform),
                     "jpeg" => amdrel::apps::runtime::jpeg_profile(&platform),
                     "sobel" => amdrel::apps::runtime::sobel_profile(&platform),
-                    other => {
-                        return Err(format!(
-                            "unknown app '{other}' (expected ofdm, jpeg or sobel)"
-                        ))
-                    }
+                    other => unreachable!("--app '{other}' was validated when parsed"),
                 };
                 profiles.push(profile.map_err(|e| format!("{name}: {e}"))?);
             }
-            let policy = policy_by_name(&opts.policy).ok_or_else(|| {
-                format!(
-                    "unknown policy '{}' (expected fcfs, sjf, priority or affinity)",
-                    opts.policy
-                )
-            })?;
-            if opts.load.is_some() && opts.arrival.is_some() {
-                return Err("--load and --arrival are mutually exclusive".to_owned());
-            }
+            let policy = policy_by_name(&opts.policy).expect("--policy validated when parsed");
             let load = opts.load.unwrap_or(120);
             let mut spec = WorkloadSpec::uniform(opts.seed, opts.njobs, &profiles, load);
             if let Some(arrival) = opts.arrival {
                 spec.mean_interarrival = arrival;
             }
-            let sketch = SketchMode::parse(&opts.sketch).ok_or_else(|| {
-                format!(
-                    "unknown sketch mode '{}' (expected auto, exact or sketched)",
-                    opts.sketch
-                )
-            })?;
             let (faults, recovery) = fault_config(&opts);
             // The joint floorplan is frozen before the simulation starts,
             // so region mode stays a pure function of the flag values.
@@ -944,7 +947,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 .config_cache(!opts.no_config_cache)
                 .prefetch(opts.prefetch)
                 .queue_bound(std::num::NonZeroUsize::new(opts.queue_bound))
-                .sketch_mode(sketch)
+                .sketch_mode(opts.sketch)
                 .shards(opts.shards)
                 .faults(faults)
                 .recovery(recovery);

@@ -112,13 +112,19 @@ fn sweep_json_is_machine_readable() {
     ]);
     assert!(ok, "stderr: {stderr}");
     assert!(
-        stdout.contains("\"schema\": \"amdrel-sweep/v2\""),
+        stdout.contains("\"schema\": \"amdrel-sweep/v3\""),
         "{stdout}"
     );
     assert!(stdout.contains("\"cells\""));
     assert!(stdout.contains("\"cache\""));
     assert!(stdout.contains("\"entries\""), "{stdout}");
-    assert!(stdout.contains("\"metrics\""), "{stdout}");
+    // The cache counters are said once, in `cache`, not again in a
+    // `metrics` object.
+    assert!(!stdout.contains("\"metrics\""), "{stdout}");
+    assert!(
+        stdout.contains("\"cache\": {\"fine_misses\":2,\"fine_hits\":2,"),
+        "{stdout}"
+    );
     assert_eq!(stdout.matches("\"area\":").count(), 4, "4 grid cells");
     assert!(!stdout.contains("Initial cycles"), "no table in JSON mode");
 }
@@ -154,9 +160,15 @@ fn explore_prints_frontier_table_and_json() {
         "--json",
     ]);
     assert!(ok, "stderr: {stderr}");
-    assert!(json.contains("\"schema\": \"amdrel-explore/v3\""), "{json}");
-    assert!(json.contains("\"metrics\""), "{json}");
-    assert!(json.contains("\"archive.inserts\""), "{json}");
+    assert!(json.contains("\"schema\": \"amdrel-explore/v4\""), "{json}");
+    // Archive churn, once only in `metrics`, now closes `effort`.
+    assert!(!json.contains("\"metrics\""), "{json}");
+    let effort = json
+        .lines()
+        .find(|l| l.contains("\"effort\""))
+        .expect("effort line");
+    assert!(effort.contains("\"archive_inserts\": "), "{effort}");
+    assert!(effort.contains("\"archive_pruned\": "), "{effort}");
     assert!(
         json.contains("\"objectives\": [\"cycles\", \"area\", \"energy\"]"),
         "{json}"
@@ -256,13 +268,18 @@ fn simulate_json_is_bit_deterministic() {
     let (ok1, out1, stderr) = amdrel(&args);
     assert!(ok1, "stderr: {stderr}");
     assert!(
-        out1.contains("\"schema\": \"amdrel-simulate/v4\""),
+        out1.contains("\"schema\": \"amdrel-simulate/v5\""),
         "{out1}"
     );
     assert!(out1.contains("\"apps\""), "{out1}");
     assert!(out1.contains("\"queue\""), "{out1}");
-    assert!(out1.contains("\"metrics\""), "{out1}");
-    assert!(out1.contains("\"sim.makespan\""), "{out1}");
+    // The makespan is said once, in `totals`, not again in `metrics`.
+    assert!(!out1.contains("\"metrics\""), "{out1}");
+    let totals = out1
+        .lines()
+        .find(|l| l.contains("\"totals\""))
+        .expect("totals line");
+    assert!(totals.contains("\"makespan\": "), "{totals}");
     assert!(out1.contains("\"latency_source\": \"exact\""), "{out1}");
     assert!(!out1.contains("p95 latency "), "no table in JSON mode");
     let (ok2, out2, _) = amdrel(&args);
@@ -729,8 +746,8 @@ fn helpful_errors() {
     assert!(stderr.contains("name=v"));
 }
 
-/// Runs `args` expecting exit code 1 with a single `error:` line (no
-/// panic) that contains `needle`.
+/// Runs `args` expecting exit code 1 with a stderr of exactly one
+/// `error:` line (no panic, no usage line) that contains `needle`.
 fn expect_one_line_error(args: &[&str], needle: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_amdrel"))
         .args(args)
@@ -738,10 +755,10 @@ fn expect_one_line_error(args: &[&str], needle: &str) {
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
-    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
-    assert!(errors[0].contains(needle), "{args:?}: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{args:?}: {stderr}");
+    assert!(lines[0].starts_with("error:"), "{args:?}: {stderr}");
+    assert!(lines[0].contains(needle), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -949,7 +966,7 @@ fn profile_prints_phase_json_to_stderr_only() {
         "wall-clock profile output must never contaminate stdout: {stdout}"
     );
     assert!(
-        stdout.contains("\"schema\": \"amdrel-simulate/v4\""),
+        stdout.contains("\"schema\": \"amdrel-simulate/v5\""),
         "{stdout}"
     );
 }
@@ -962,10 +979,20 @@ fn shards_flag_is_documented_in_the_workload_section() {
         .find("workload:")
         .expect("simulate --help has a workload section");
     let next_section = stdout.find("faults:").expect("faults section follows");
+    let section = &stdout[workload..next_section];
     assert!(
-        stdout[workload..next_section].contains("--shards K"),
+        section.contains("--shards K"),
         "--shards belongs to the workload section: {stdout}"
     );
+    // The help says what a shard is, so nobody compares sharded
+    // latencies with unsharded ones.
+    for wording in [
+        "run K platform replicas",
+        "tenant i on replica i % K",
+        "comparable with --shards 1",
+    ] {
+        assert!(section.contains(wording), "{wording:?}: {section}");
+    }
 }
 
 #[test]
@@ -1019,7 +1046,33 @@ fn sharded_simulate_report_is_bit_deterministic() {
 #[test]
 fn bad_source_is_reported_with_position() {
     let src = write_source("broken.c", "int main() { return q; }");
-    let (ok, _, stderr) = amdrel(&["analyze", src.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(stderr.contains("undeclared variable 'q'"), "{stderr}");
+    expect_one_line_error(
+        &["analyze", src.to_str().unwrap()],
+        "1:21: undeclared variable 'q'",
+    );
+}
+
+#[test]
+fn runtime_errors_print_no_usage_line() {
+    let src = write_source("div_zero.c", "int main() { int z = 0; return 1 / z; }");
+    expect_one_line_error(&["analyze", src.to_str().unwrap()], "division by zero");
+}
+
+#[test]
+fn deeply_nested_sources_are_rejected_not_stack_overflows() {
+    let n = 20_000;
+    let parens = format!(
+        "int main() {{ return {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let ifs = format!(
+        "int main() {{ {}return 1; {}return 0; }}",
+        "if (1) { ".repeat(n),
+        "} ".repeat(n)
+    );
+    for (name, body) in [("deep_parens.c", parens), ("deep_ifs.c", ifs)] {
+        let src = write_source(name, &body);
+        expect_one_line_error(&["analyze", src.to_str().unwrap()], "nesting deeper than");
+    }
 }
