@@ -138,6 +138,13 @@ mod tests {
     }
 
     #[test]
+    fn sample_export_matches_golden_bytes() {
+        // A pretty top level, one event per line, tight event objects.
+        let golden = include_str!("../../../tests/golden/chrome_sample.json");
+        assert_eq!(chrome_trace(&sample()), golden);
+    }
+
+    #[test]
     fn export_is_deterministic_and_tagged() {
         let events = sample();
         let a = chrome_trace(&events);
