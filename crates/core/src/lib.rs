@@ -30,8 +30,9 @@
 //! * [`ReconfigModel`] — area-derived configuration-load cost, priced per
 //!   temporal partition, for the multi-tenant runtime simulator
 //!   (`amdrel-runtime`);
-//! * [`json`] — the shared hand-rolled JSON writer behind every `--json`
-//!   output (`sweep`, `explore`, `simulate`).
+//! * [`json`] — the workspace's one JSON writer, behind every `--json`
+//!   report, the Chrome trace, the `--profile` line and the
+//!   `BENCH_*.json` baselines.
 //!
 //! # Examples
 //!

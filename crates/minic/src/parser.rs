@@ -45,9 +45,10 @@ pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
 }
 
 /// Deepest nesting the parser accepts. Every nested statement, every
-/// expression (parenthesised, call argument, index, ternary arm) and
-/// every prefix operator counts one level. The OFDM, JPEG and Sobel
-/// case studies reach six levels, so 128 is far above real input.
+/// expression (parenthesised, call argument, index, ternary arm),
+/// every prefix operator and every operator of a binary chain counts
+/// one level. The OFDM, JPEG and Sobel case studies reach six levels
+/// and about nine operators per expression, far below 128.
 /// It is also safe on a debug build's 2 MiB test-thread stack:
 /// parentheses, the costliest shape, take about 7 KiB of debug stack
 /// per level, so the limit uses roughly half of it, and the recursive
@@ -71,12 +72,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Run `parse` one nesting level deeper, failing at the current
-    /// token once the nesting passes [`MAX_NESTING`].
-    fn nested<T>(
-        &mut self,
-        parse: fn(&mut Self) -> Result<T, CompileError>,
-    ) -> Result<T, CompileError> {
+    /// Go one nesting level deeper, failing at the current token once
+    /// the nesting passes [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), CompileError> {
         if self.depth == MAX_NESTING {
             return Err(CompileError::new(
                 format!("nesting deeper than {MAX_NESTING} levels"),
@@ -84,6 +82,15 @@ impl<'a> Parser<'a> {
             ));
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `parse` one nesting level deeper (see [`Parser::descend`]).
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.descend()?;
         let result = parse(self);
         self.depth -= 1;
         result
@@ -594,6 +601,7 @@ impl<'a> Parser<'a> {
     /// < additive < multiplicative.
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
         let mut lhs = self.unary()?;
+        let depth = self.depth;
         loop {
             let (prec, kind) = match self.peek() {
                 TokenKind::PipePipe => (1, BinKind::LogOr),
@@ -620,6 +628,8 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.bump();
+            // The operator wraps the tree built so far in one more node.
+            self.descend()?;
             let rhs = self.binary(prec + 1)?;
             let span = lhs.span().merge(rhs.span());
             lhs = match kind {
@@ -643,6 +653,7 @@ impl<'a> Parser<'a> {
                 },
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -994,9 +1005,9 @@ mod tests {
 
     /// `main` nesting `levels` deep in each shape the parser bounds:
     /// the innermost return statement and its expression take two
-    /// levels, and every paren, `if` block, prefix `-` or ternary else
-    /// arm adds one.
-    fn nested_programs(levels: usize) -> [String; 4] {
+    /// levels, and every paren, `if` block, prefix `-`, ternary else
+    /// arm or chained `+`, `-` or `*` adds one.
+    fn nested_programs(levels: usize) -> [String; 7] {
         let n = levels - 2;
         [
             format!(
@@ -1011,6 +1022,9 @@ mod tests {
             ),
             format!("int main() {{ return {}1; }}", "- ".repeat(n)),
             format!("int main() {{ return {}1; }}", "1 ? 1 : ".repeat(n)),
+            format!("int main() {{ return 1{}; }}", " + 1".repeat(n)),
+            format!("int main() {{ return 1{}; }}", " - 1".repeat(n)),
+            format!("int main() {{ return 1{}; }}", " * 1".repeat(n)),
         ]
     }
 

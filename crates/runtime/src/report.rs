@@ -1,14 +1,15 @@
 //! Simulation results: per-application latency distributions, resource
 //! utilization, and reconfiguration accounting, with a text table and a
-//! JSON rendering through the workspace's shared
-//! [`amdrel_core::json`] writer.
+//! JSON rendering through the workspace's one [`amdrel_core::json`]
+//! writer.
 
 use crate::calendar::CalendarStats;
 use crate::fault::{FaultSpec, RecoveryPolicy};
 use crate::sim::SimConfig;
 use crate::sketch::{LatencySketch, LatencySource};
-use amdrel_core::json::escape;
+use amdrel_core::json::{document, Fixed, Sep};
 use std::fmt::Write as _;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 /// Nearest-rank percentile of a latency sample (`q` in percent).
 /// Returns 0 for an empty sample.
@@ -349,136 +350,104 @@ impl RuntimeReport {
 }
 
 /// Render a [`RuntimeReport`] as deterministic JSON
-/// (schema `amdrel-simulate/v5`).
-///
-/// v5 drops v4's flat `metrics` object: every entry copied a field of
-/// `totals`, `fabric`, `cgc`, `queue` or `reliability`. Every other v4
-/// key is retained unchanged. Earlier history: v4 added the `queue`
-/// object (calendar-queue internals: events scheduled, rehashes, peak
-/// occupancy, day width) and `metrics`; v3 added `faults`, `recovery`
-/// and `reliability`; v2 added the `latency_source` provenance field in
-/// `totals`; `queue_bound` keeps the v1 convention of `0` meaning
-/// unbounded.
+/// (schema `amdrel-simulate/v5`; the schema history is in
+/// `docs/BENCHMARKS.md`). `queue_bound` keeps the v1 convention of `0`
+/// meaning unbounded.
 pub fn report_to_json(report: &RuntimeReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"amdrel-simulate/v5\",\n");
-    let _ = writeln!(out, "  \"policy\": \"{}\",", escape(&report.policy));
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\"config_cache\": {}, \"prefetch\": {}, \"queue_bound\": {}}},",
-        report.config.config_cache,
-        report.config.prefetch,
-        report.config.queue_bound.map_or(0, |bound| bound.get())
-    );
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"arrived\": {}, \"completed\": {}, \"rejected\": {}, \"makespan\": {}, \
-         \"jobs_per_mcycle\": {:.4}, \"p50_latency\": {}, \"p95_latency\": {}, \
-         \"latency_source\": \"{}\"}},",
-        report.arrived(),
-        report.completed(),
-        report.rejected(),
-        report.makespan,
-        report.jobs_per_mcycle(),
-        report.p50_latency,
-        report.p95_latency,
-        report.latency_source.as_str()
-    );
-    let _ = writeln!(
-        out,
-        "  \"fabric\": {{\"fpga_busy_cycles\": {}, \"reconfig_stall_cycles\": {}, \
-         \"reconfig_loads\": {}, \"fpga_utilization\": {:.4}, \"stall_share\": {:.4}}},",
-        report.fpga_busy_cycles,
-        report.reconfig_stall_cycles,
-        report.reconfig_loads,
-        report.fpga_utilization(),
-        report.stall_share()
-    );
-    let _ = writeln!(
-        out,
-        "  \"cgc\": {{\"slots\": {}, \"busy_slot_cycles\": {}, \"utilization\": {:.4}}},",
-        report.cgc_slots,
-        report.cgc_busy_cycles,
-        report.cgc_utilization()
-    );
-    let _ = writeln!(
-        out,
-        "  \"faults\": {{\"seed\": {}, \"load_fail_permille\": {}, \"transient_permille\": {}, \
-         \"outage_permille\": {}, \"repair_cycles\": {}, \"deadline\": {}}},",
-        report.faults.seed,
-        report.faults.load_fail_permille,
-        report.faults.transient_permille,
-        report.faults.outage_permille,
-        report.faults.repair_cycles,
-        report.faults.deadline.map_or(0, |d| d.get())
-    );
-    let _ = writeln!(
-        out,
-        "  \"recovery\": {{\"max_retries\": {}, \"backoff_base_cycles\": {}, \
-         \"backoff_cap_cycles\": {}, \"degrade\": {}}},",
-        report.recovery.max_retries,
-        report.recovery.backoff.base_cycles,
-        report.recovery.backoff.cap_cycles,
-        report.recovery.degrade
-    );
-    let _ = writeln!(
-        out,
-        "  \"queue\": {{\"events\": {}, \"rehashes\": {}, \"peak_occupancy\": {}, \
-         \"day_width\": {}}},",
-        report.queue.events,
-        report.queue.rehashes,
-        report.queue.peak_occupancy,
-        report.queue.day_width
-    );
-    let r = &report.reliability;
-    let _ = writeln!(
-        out,
-        "  \"reliability\": {{\"injected\": {}, \"load_failures\": {}, \"fabric_kills\": {}, \
-         \"slot_outages\": {}, \"retries\": {}, \"degraded\": {}, \"aborted\": {}, \
-         \"deadline_misses\": {}, \"fault_lost_cycles\": {}, \"slot_downtime_cycles\": {}, \
-         \"clean_completed\": {}, \"faulted_completed\": {}, \"p95_clean\": {}, \
-         \"p95_faulted\": {}, \"availability\": {:.4}, \"goodput_jobs_per_mcycle\": {:.4}, \
-         \"throughput_jobs_per_mcycle\": {:.4}}},",
-        r.injected,
-        r.load_failures,
-        r.fabric_kills,
-        r.slot_outages,
-        r.retries,
-        r.degraded,
-        r.aborted,
-        r.deadline_misses,
-        r.fault_lost_cycles,
-        r.slot_downtime_cycles,
-        r.clean_completed,
-        r.faulted_completed,
-        r.p95_clean,
-        r.p95_faulted,
-        report.availability(),
-        report.goodput_jobs_per_mcycle(),
-        report.throughput_jobs_per_mcycle()
-    );
-    out.push_str("  \"apps\": [\n");
-    for (i, a) in report.apps.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\":\"{}\",\"arrived\":{},\"completed\":{},\"rejected\":{},\
-             \"p50_latency\":{},\"p95_latency\":{},\"max_latency\":{}}}",
-            escape(&a.name),
-            a.arrived,
-            a.completed,
-            a.rejected,
-            a.p50_latency,
-            a.p95_latency,
-            a.max_latency,
-        );
-        out.push_str(if i + 1 == report.apps.len() {
-            "\n"
-        } else {
-            ",\n"
+    document(|doc| {
+        doc.field("schema", "amdrel-simulate/v5");
+        doc.field("policy", &report.policy);
+        doc.object("config", Sep::Spaced, |o| {
+            o.field("config_cache", report.config.config_cache);
+            o.field("prefetch", report.config.prefetch);
+            o.field(
+                "queue_bound",
+                report.config.queue_bound.map_or(0, NonZeroUsize::get),
+            );
         });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        doc.object("totals", Sep::Spaced, |o| {
+            o.field("arrived", report.arrived());
+            o.field("completed", report.completed());
+            o.field("rejected", report.rejected());
+            o.field("makespan", report.makespan);
+            o.field("jobs_per_mcycle", Fixed(report.jobs_per_mcycle(), 4));
+            o.field("p50_latency", report.p50_latency);
+            o.field("p95_latency", report.p95_latency);
+            o.field("latency_source", report.latency_source.as_str());
+        });
+        doc.object("fabric", Sep::Spaced, |o| {
+            o.field("fpga_busy_cycles", report.fpga_busy_cycles);
+            o.field("reconfig_stall_cycles", report.reconfig_stall_cycles);
+            o.field("reconfig_loads", report.reconfig_loads);
+            o.field("fpga_utilization", Fixed(report.fpga_utilization(), 4));
+            o.field("stall_share", Fixed(report.stall_share(), 4));
+        });
+        doc.object("cgc", Sep::Spaced, |o| {
+            o.field("slots", report.cgc_slots);
+            o.field("busy_slot_cycles", report.cgc_busy_cycles);
+            o.field("utilization", Fixed(report.cgc_utilization(), 4));
+        });
+        let faults = &report.faults;
+        doc.object("faults", Sep::Spaced, |o| {
+            o.field("seed", faults.seed);
+            o.field("load_fail_permille", faults.load_fail_permille);
+            o.field("transient_permille", faults.transient_permille);
+            o.field("outage_permille", faults.outage_permille);
+            o.field("repair_cycles", faults.repair_cycles);
+            o.field("deadline", faults.deadline.map_or(0, NonZeroU64::get));
+        });
+        doc.object("recovery", Sep::Spaced, |o| {
+            o.field("max_retries", report.recovery.max_retries);
+            o.field("backoff_base_cycles", report.recovery.backoff.base_cycles);
+            o.field("backoff_cap_cycles", report.recovery.backoff.cap_cycles);
+            o.field("degrade", report.recovery.degrade);
+        });
+        doc.object("queue", Sep::Spaced, |o| {
+            o.field("events", report.queue.events);
+            o.field("rehashes", report.queue.rehashes);
+            o.field("peak_occupancy", report.queue.peak_occupancy);
+            o.field("day_width", report.queue.day_width);
+        });
+        let r = &report.reliability;
+        doc.object("reliability", Sep::Spaced, |o| {
+            o.field("injected", r.injected);
+            o.field("load_failures", r.load_failures);
+            o.field("fabric_kills", r.fabric_kills);
+            o.field("slot_outages", r.slot_outages);
+            o.field("retries", r.retries);
+            o.field("degraded", r.degraded);
+            o.field("aborted", r.aborted);
+            o.field("deadline_misses", r.deadline_misses);
+            o.field("fault_lost_cycles", r.fault_lost_cycles);
+            o.field("slot_downtime_cycles", r.slot_downtime_cycles);
+            o.field("clean_completed", r.clean_completed);
+            o.field("faulted_completed", r.faulted_completed);
+            o.field("p95_clean", r.p95_clean);
+            o.field("p95_faulted", r.p95_faulted);
+            o.field("availability", Fixed(report.availability(), 4));
+            o.field(
+                "goodput_jobs_per_mcycle",
+                Fixed(report.goodput_jobs_per_mcycle(), 4),
+            );
+            o.field(
+                "throughput_jobs_per_mcycle",
+                Fixed(report.throughput_jobs_per_mcycle(), 4),
+            );
+        });
+        doc.rows("apps", Sep::Tight, |rows| {
+            for a in &report.apps {
+                rows.elem_object(|row| {
+                    row.field("name", &a.name);
+                    row.field("arrived", a.arrived);
+                    row.field("completed", a.completed);
+                    row.field("rejected", a.rejected);
+                    row.field("p50_latency", a.p50_latency);
+                    row.field("p95_latency", a.p95_latency);
+                    row.field("max_latency", a.max_latency);
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]

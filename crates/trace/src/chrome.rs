@@ -20,7 +20,7 @@
 //!   monotone within every track.
 
 use crate::{canonical_order, EventKind, TraceEvent, TrackId};
-use std::fmt::Write as _;
+use amdrel_core::json::{document, Json, Sep};
 
 /// Render `events` as Chrome trace-event JSON (`amdrel-trace/v1`).
 ///
@@ -38,83 +38,65 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             .expect("every event's track is registered")
     };
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"amdrel-trace/v1\",\n");
-    out.push_str("  \"displayTimeUnit\": \"ms\",\n");
-    out.push_str("  \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("    ");
-        out.push_str(&line);
-    };
-    push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"amdrel-sim\"}}"
-            .to_owned(),
-        &mut out,
-    );
-    for (i, track) in tracks.iter().enumerate() {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{i},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                track.label()
-            ),
-            &mut out,
-        );
-        push(
-            format!(
-                "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{i},\
-                 \"args\":{{\"sort_index\":{i}}}}}"
-            ),
-            &mut out,
-        );
-    }
-    for e in &sorted {
-        push(render_event(e, tid(e.track)), &mut out);
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    document(|doc| {
+        doc.field("schema", "amdrel-trace/v1");
+        doc.field("displayTimeUnit", "ms");
+        doc.rows("traceEvents", Sep::Tight, |rows| {
+            metadata(rows, "process_name", 0, |a| a.field("name", "amdrel-sim"));
+            for (i, track) in tracks.iter().enumerate() {
+                metadata(rows, "thread_name", i, |a| a.field("name", track.label()));
+                metadata(rows, "thread_sort_index", i, |a| a.field("sort_index", i));
+            }
+            for e in &sorted {
+                rows.elem_object(|row| render_event(row, e, tid(e.track)));
+            }
+        });
+    })
 }
 
-fn render_event(e: &TraceEvent, tid: usize) -> String {
-    let mut args = format!("\"seq\":{}", e.seq);
-    if let Some(job) = e.job {
-        let _ = write!(args, ",\"job\":{job}");
-    }
-    if let Some(arg) = e.arg {
-        let _ = write!(args, ",\"detail\":{arg}");
-    }
+/// Write one metadata (`ph: "M"`) record, its `args` filled by `args`.
+fn metadata(rows: &mut Json, name: &'static str, tid: usize, args: impl FnOnce(&mut Json)) {
+    rows.elem_object(|m| {
+        m.field("name", name);
+        m.field("ph", "M");
+        m.field("pid", 1u64);
+        m.field("tid", tid);
+        m.object("args", args);
+    });
+}
+
+fn render_event(row: &mut Json, e: &TraceEvent, tid: usize) {
+    let (name, cat, ph) = match e.kind {
+        EventKind::Span => (e.name, "sim", "X"),
+        EventKind::Instant => (e.name, "sim", "i"),
+        EventKind::JobBegin => ("job", "job", "b"),
+        EventKind::JobEnd => ("job", "job", "e"),
+    };
+    row.field("name", name);
+    row.field("cat", cat);
+    row.field("ph", ph);
     match e.kind {
-        EventKind::Span => format!(
-            "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-             \"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-            e.name, e.time, e.dur
-        ),
-        EventKind::Instant => format!(
-            "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
-             \"tid\":{tid},\"ts\":{},\"args\":{{{args}}}}}",
-            e.name, e.time
-        ),
+        EventKind::Instant => row.field("s", "t"),
         EventKind::JobBegin | EventKind::JobEnd => {
-            let ph = if e.kind == EventKind::JobBegin {
-                "b"
-            } else {
-                "e"
-            };
-            format!(
-                "{{\"name\":\"job\",\"cat\":\"job\",\"ph\":\"{ph}\",\
-                 \"id\":{},\"pid\":1,\"tid\":{tid},\"ts\":{},\"args\":{{{args}}}}}",
-                e.job.expect("job markers carry the job id"),
-                e.time
-            )
+            row.field("id", e.job.expect("job markers carry the job id"));
         }
+        EventKind::Span => {}
     }
+    row.field("pid", 1u64);
+    row.field("tid", tid);
+    row.field("ts", e.time);
+    if e.kind == EventKind::Span {
+        row.field("dur", e.dur);
+    }
+    row.object("args", |a| {
+        a.field("seq", e.seq);
+        if let Some(job) = e.job {
+            a.field("job", job);
+        }
+        if let Some(arg) = e.arg {
+            a.field("detail", arg);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -142,27 +124,6 @@ mod tests {
         // A pretty top level, one event per line, tight event objects.
         let golden = include_str!("../../../tests/golden/chrome_sample.json");
         assert_eq!(chrome_trace(&sample()), golden);
-    }
-
-    #[test]
-    fn export_is_deterministic_and_tagged() {
-        let events = sample();
-        let a = chrome_trace(&events);
-        let b = chrome_trace(&events);
-        assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"amdrel-trace/v1\""));
-        assert!(a.contains("\"traceEvents\""));
-    }
-
-    #[test]
-    fn tracks_are_named_in_order() {
-        let json = chrome_trace(&sample());
-        let fabric = json.find("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"fabric\"}}");
-        let cgc = json.find("\"args\":{\"name\":\"cgc0\"}");
-        let region = json.find("\"args\":{\"name\":\"region1\"}");
-        assert!(fabric.is_some() && cgc.is_some() && region.is_some());
-        // scheduler < fabric < cgc < region in the metadata order.
-        assert!(fabric < cgc && cgc < region);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! twin; this is the "where does simulator wall time go" instrument the
 //! sharded-timelines work needs a baseline from.
 
+use amdrel_core::json::{line, Sep};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -80,18 +81,18 @@ impl Profiler {
     /// values are wall-clock and therefore differ run to run; only the
     /// *shape* is stable.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"amdrel-profile/v1\",\"phases\":[");
-        for (i, p) in self.phases().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"calls\":{},\"wall_ns\":{}}}",
-                p.name, p.calls, p.wall_ns
-            ));
-        }
-        out.push_str("]}");
-        out
+        line(Sep::Tight, |o| {
+            o.field("schema", "amdrel-profile/v1");
+            o.array("phases", |a| {
+                for p in self.phases() {
+                    a.elem_object(|phase| {
+                        phase.field("name", p.name);
+                        phase.field("calls", p.calls);
+                        phase.field("wall_ns", p.wall_ns);
+                    });
+                }
+            });
+        })
     }
 }
 

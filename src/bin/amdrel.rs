@@ -1,34 +1,8 @@
 //! `amdrel` — command-line driver for the partitioning methodology.
 //!
-//! ```text
-//! amdrel analyze   <src.c> [--input name=v,v,..]... [--top N]
-//! amdrel partition <src.c> --constraint N [--area A] [--cgcs K]
-//!                  [--input name=v,v,..]... [--skip-unprofitable]
-//! amdrel sweep     <src.c> --constraint N [--areas A,A,..] [--cgc-list K,K,..]
-//!                  [--jobs N] [--json] [--input name=v,v,..]...
-//! amdrel explore   <src.c> [--strategy exhaustive|random|sa] [--seed S]
-//!                  [--budget N] [--jobs N] [--json] [--constraint N]
-//!                  [--areas A,A,..] [--cgc-list K,K,..] [--max-kernels K]
-//!                  [--objectives cycles,area,energy,fragmentation,
-//!                                worst_region_load,p95,throughput,
-//!                                p95_under_faults,degraded_share]
-//!                  [--policy fcfs|sjf|priority|affinity] [--njobs N] [--load PCT]
-//!                  [--reconfig streamed|region|free]
-//!                  [--regions N | --region-shape RxC]
-//!                  [--fault-rate PERMILLE] [--fault-seed S] [--deadline CYCLES]
-//!                  [--max-retries N] [--degrade] [--input name=v,v,..]...
-//! amdrel simulate  [--app ofdm|jpeg|sobel]... [--policy fcfs|sjf|priority|affinity]
-//!                  [--seed S] [--njobs N] [--load PCT | --arrival CYCLES]
-//!                  [--queue-bound N] [--no-config-cache] [--prefetch]
-//!                  [--sketch auto|exact|sketched] [--area A] [--cgcs K]
-//!                  [--reconfig streamed|region|free]
-//!                  [--regions N | --region-shape RxC]
-//!                  [--fault-rate PERMILLE] [--fault-seed S] [--deadline CYCLES]
-//!                  [--max-retries N] [--degrade] [--shards K] [--json]
-//!                  [--trace FILE] [--trace-format chrome|text] [--profile]
-//! amdrel trace     [simulate flags] [--trace FILE] [--trace-format chrome|text]
-//! amdrel dot       <src.c> [--block N] [--input name=v,v,..]...
-//! ```
+//! `amdrel --help` prints every subcommand's usage line. Those lines
+//! ([`SUBCOMMANDS`]) are the one list of the flags each subcommand
+//! takes: any other flag is an error.
 //!
 //! Sources are mini-C (see the `amdrel-minic` crate docs for the accepted
 //! subset); `--input` binds global arrays before profiling. `simulate`
@@ -105,7 +79,10 @@
 
 use amdrel::prelude::*;
 use amdrel_coarsegrain::CgcDatapath;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::slice::Iter;
+use std::str::FromStr;
 
 const USAGE: &str = "usage: amdrel <analyze|partition|sweep|explore|simulate|trace|dot> [<src.c>] \
                      [flags] — run 'amdrel --help' for the full flag list";
@@ -196,6 +173,20 @@ fn usage_for(cmd: &str) -> Option<&'static str> {
         .map(|(_, usage)| *usage)
 }
 
+/// Whether `command` takes `flag`: its usage line names it (`trace`
+/// also takes every `simulate` flag). The usage text is the only list
+/// of a subcommand's flags, so help and parser cannot drift apart.
+fn takes_flag(command: &str, flag: &str) -> bool {
+    let listed = |cmd: &str| {
+        usage_for(cmd).is_some_and(|usage| {
+            let name_char = |c: char| c.is_ascii_alphanumeric() || c == '-';
+            let ends_the_name = |(at, _)| !usage[at + flag.len()..].starts_with(name_char);
+            usage.match_indices(flag).any(ends_the_name)
+        })
+    };
+    listed(command) || (command == "trace" && listed("simulate"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(args) {
@@ -250,14 +241,7 @@ struct Options {
     profile: bool,
 }
 
-/// Whether a subcommand takes a mini-C source file as its positional
-/// argument (`simulate` and `trace` run the built-in case studies
-/// instead).
-fn needs_source(command: &str) -> bool {
-    !matches!(command, "simulate" | "trace")
-}
-
-fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> {
+fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         source_path: String::new(),
         inputs: Vec::new(),
@@ -299,17 +283,17 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
         trace_format: "chrome".to_owned(),
         profile: false,
     };
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let mut positional = Vec::new();
     while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
+        let flag = arg.as_str();
+        if flag.starts_with("--") && !takes_flag(command, flag) {
+            return Err(format!("unknown flag '{flag}' for {command}"));
+        }
+        let it = &mut it;
+        match flag {
             "--input" => {
-                let v = value_of("--input")?;
+                let v: String = value(it, flag)?;
                 let (name, data) = v
                     .split_once('=')
                     .ok_or_else(|| format!("--input wants name=v,v,.. (got '{v}')"))?;
@@ -324,145 +308,55 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                     .collect::<Result<Vec<_>, _>>()?;
                 opts.inputs.push((name.to_owned(), values));
             }
-            "--constraint" => {
-                opts.constraint = Some(
-                    value_of("--constraint")?
-                        .parse()
-                        .map_err(|e| format!("--constraint: {e}"))?,
-                );
-            }
-            "--area" => {
-                opts.area = value_of("--area")?
-                    .parse()
-                    .map_err(|e| format!("--area: {e}"))?;
-            }
-            "--cgcs" => {
-                opts.cgcs = value_of("--cgcs")?
-                    .parse()
-                    .map_err(|e| format!("--cgcs: {e}"))?;
-            }
-            "--areas" => {
-                opts.areas = value_of("--areas")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>().map_err(|e| format!("--areas: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--cgc-list" => {
-                opts.cgc_list = value_of("--cgc-list")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("--cgc-list: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--top" => {
-                opts.top = value_of("--top")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            "--block" => {
-                opts.block = Some(
-                    value_of("--block")?
-                        .parse()
-                        .map_err(|e| format!("--block: {e}"))?,
-                );
-            }
+            "--constraint" => opts.constraint = Some(value(it, flag)?),
+            "--area" => opts.area = value(it, flag)?,
+            "--cgcs" => opts.cgcs = value(it, flag)?,
+            "--areas" => opts.areas = list(it, flag)?,
+            "--cgc-list" => opts.cgc_list = list(it, flag)?,
+            "--top" => opts.top = value(it, flag)?,
+            "--block" => opts.block = Some(value(it, flag)?),
             "--skip-unprofitable" => opts.skip_unprofitable = true,
             "--strategy" => {
-                opts.strategy = match value_of("--strategy")?.as_str() {
+                let names = ["exhaustive", "random", "sa"];
+                opts.strategy = match known(&value::<String>(it, flag)?, "strategy", &names)? {
                     "exhaustive" => Box::new(Exhaustive),
                     "random" => Box::new(RandomSampling),
-                    "sa" => Box::new(SimulatedAnnealing::default()),
-                    other => {
-                        return Err(format!(
-                            "unknown strategy '{other}' (expected exhaustive, random or sa)"
-                        ))
-                    }
+                    _ => Box::new(SimulatedAnnealing::default()),
                 };
             }
-            "--seed" => {
-                opts.seed = value_of("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--budget" => {
-                opts.budget = value_of("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
-            }
-            "--jobs" => {
-                opts.jobs = value_of("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-            }
+            "--seed" => opts.seed = value(it, flag)?,
+            "--budget" => opts.budget = value(it, flag)?,
+            "--jobs" => opts.jobs = value(it, flag)?,
             "--json" => opts.json = true,
-            "--max-kernels" => {
-                opts.max_kernels = value_of("--max-kernels")?
-                    .parse()
-                    .map_err(|e| format!("--max-kernels: {e}"))?;
+            "--max-kernels" => opts.max_kernels = value(it, flag)?,
+            "--objectives" => {
+                opts.objectives = ObjectiveSet::parse(&value::<String>(it, flag)?)?;
             }
-            "--objectives" => opts.objectives = ObjectiveSet::parse(&value_of("--objectives")?)?,
             "--app" => {
-                for app in value_of("--app")?.split(',').filter(|s| !s.is_empty()) {
-                    if !matches!(app, "ofdm" | "jpeg" | "sobel") {
-                        return Err(format!(
-                            "unknown app '{app}' (expected ofdm, jpeg or sobel)"
-                        ));
-                    }
-                    opts.apps.push(app.to_owned());
+                let apps: String = value(it, flag)?;
+                for app in apps.split(',').filter(|s| !s.is_empty()) {
+                    opts.apps
+                        .push(known(app, "app", &["ofdm", "jpeg", "sobel"])?.to_owned());
                 }
             }
             "--policy" => {
-                let v = value_of("--policy")?;
-                if policy_by_name(&v).is_none() {
-                    return Err(format!(
-                        "unknown policy '{v}' (expected fcfs, sjf, priority or affinity)"
-                    ));
-                }
-                opts.policy = v;
+                let names = ["fcfs", "sjf", "priority", "affinity"];
+                opts.policy = known(&value::<String>(it, flag)?, "policy", &names)?.to_owned();
             }
-            "--njobs" => {
-                opts.njobs = value_of("--njobs")?
-                    .parse()
-                    .map_err(|e| format!("--njobs: {e}"))?;
-            }
-            "--arrival" => {
-                let arrival: u64 = value_of("--arrival")?
-                    .parse()
-                    .map_err(|e| format!("--arrival: {e}"))?;
-                if arrival == 0 {
-                    return Err("--arrival must be a positive cycle count".to_owned());
-                }
-                opts.arrival = Some(arrival);
-            }
-            "--load" => {
-                let load: u64 = value_of("--load")?
-                    .parse()
-                    .map_err(|e| format!("--load: {e}"))?;
-                if load == 0 {
-                    return Err("--load must be a positive percentage".to_owned());
-                }
-                opts.load = Some(load);
-            }
-            "--queue-bound" => {
-                opts.queue_bound = value_of("--queue-bound")?
-                    .parse()
-                    .map_err(|e| format!("--queue-bound: {e}"))?;
-            }
+            "--njobs" => opts.njobs = value(it, flag)?,
+            "--arrival" => opts.arrival = Some(positive(it, flag, "cycle count")?),
+            "--load" => opts.load = Some(positive(it, flag, "percentage")?),
+            "--queue-bound" => opts.queue_bound = value(it, flag)?,
             "--no-config-cache" => opts.no_config_cache = true,
             "--prefetch" => opts.prefetch = true,
             "--sketch" => {
-                let v = value_of("--sketch")?;
+                let v: String = value(it, flag)?;
                 opts.sketch = SketchMode::parse(&v).ok_or_else(|| {
                     format!("unknown sketch mode '{v}' (expected auto, exact or sketched)")
                 })?;
             }
             "--fault-rate" => {
-                let rate: u16 = value_of("--fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("--fault-rate: {e}"))?;
+                let rate: u16 = value(it, flag)?;
                 if rate > 1000 {
                     return Err(format!(
                         "--fault-rate is permille and must be 0..=1000 (got {rate})"
@@ -470,66 +364,26 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
                 }
                 opts.fault_rate = rate;
             }
-            "--fault-seed" => {
-                opts.fault_seed = value_of("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--deadline" => {
-                let deadline: u64 = value_of("--deadline")?
-                    .parse()
-                    .map_err(|e| format!("--deadline: {e}"))?;
-                if deadline == 0 {
-                    return Err("--deadline must be a positive cycle count".to_owned());
-                }
-                opts.deadline = Some(deadline);
-            }
-            "--max-retries" => {
-                opts.max_retries = value_of("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
+            "--fault-seed" => opts.fault_seed = value(it, flag)?,
+            "--deadline" => opts.deadline = Some(positive(it, flag, "cycle count")?),
+            "--max-retries" => opts.max_retries = value(it, flag)?,
             "--degrade" => opts.degrade = true,
-            "--shards" => {
-                let shards: usize = value_of("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if shards == 0 {
-                    return Err("--shards must be a positive shard count".to_owned());
-                }
-                opts.shards = shards;
-            }
-            "--trace" => opts.trace = Some(value_of("--trace")?),
+            "--shards" => opts.shards = positive(it, flag, "shard count")?,
+            "--trace" => opts.trace = Some(value(it, flag)?),
             "--trace-format" => {
-                let v = value_of("--trace-format")?;
-                if !matches!(v.as_str(), "chrome" | "text") {
-                    return Err(format!(
-                        "unknown trace format '{v}' (expected chrome or text)"
-                    ));
-                }
-                opts.trace_format = v;
+                let names = ["chrome", "text"];
+                let format = known(&value::<String>(it, flag)?, "trace format", &names)?;
+                opts.trace_format = format.to_owned();
             }
             "--profile" => opts.profile = true,
             "--reconfig" => {
-                let v = value_of("--reconfig")?;
-                if !matches!(v.as_str(), "streamed" | "region" | "free") {
-                    return Err(format!(
-                        "unknown reconfig model '{v}' (expected streamed, region or free)"
-                    ));
-                }
-                opts.reconfig = Some(v);
+                let names = ["streamed", "region", "free"];
+                let model = known(&value::<String>(it, flag)?, "reconfig model", &names)?;
+                opts.reconfig = Some(model.to_owned());
             }
-            "--regions" => {
-                let n: usize = value_of("--regions")?
-                    .parse()
-                    .map_err(|e| format!("--regions: {e}"))?;
-                if n == 0 {
-                    return Err("--regions must be a positive region count".to_owned());
-                }
-                opts.regions = Some(n);
-            }
+            "--regions" => opts.regions = Some(positive(it, flag, "region count")?),
             "--region-shape" => {
-                let v = value_of("--region-shape")?;
+                let v: String = value(it, flag)?;
                 let (r, c) = v
                     .split_once('x')
                     .ok_or_else(|| format!("--region-shape wants RxC, e.g. 2x2 (got '{v}')"))?;
@@ -556,7 +410,10 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
         return Err("--load and --arrival are mutually exclusive".to_owned());
     }
     opts.region = region_grid(&opts)?;
-    match (with_source, positional.len()) {
+    // `simulate` and `trace` run the built-in case studies instead of
+    // a mini-C source file.
+    let needs_source = usage_for(command).is_some_and(|usage| usage.contains("<src.c>"));
+    match (needs_source, positional.len()) {
         (true, 0) => Err("missing source file".to_owned()),
         (true, 1) => {
             opts.source_path = positional.into_iter().next().expect("len checked");
@@ -565,6 +422,47 @@ fn parse_options(args: &[String], with_source: bool) -> Result<Options, String> 
         (false, 0) => Ok(opts),
         _ => Err(format!("unexpected arguments: {positional:?}")),
     }
+}
+
+/// The value after `flag`, parsed as a `T`.
+fn value<T: FromStr<Err: Display>>(it: &mut Iter<String>, flag: &str) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The value after `flag`, which must be a positive `what`.
+fn positive<T>(it: &mut Iter<String>, flag: &str, what: &str) -> Result<T, String>
+where
+    T: FromStr<Err: Display> + Default + PartialEq,
+{
+    let v = value(it, flag)?;
+    if v == T::default() {
+        return Err(format!("{flag} must be a positive {what}"));
+    }
+    Ok(v)
+}
+
+/// The entry of `names` that `v` names, or an error listing them all.
+fn known(v: &str, what: &str, names: &[&'static str]) -> Result<&'static str, String> {
+    names
+        .iter()
+        .copied()
+        .find(|&name| name == v)
+        .ok_or_else(|| {
+            let (last, rest) = names.split_last().expect("a non-empty list");
+            format!(
+                "unknown {what} '{v}' (expected {} or {last})",
+                rest.join(", ")
+            )
+        })
+}
+
+/// The comma-separated list after `flag`, each item parsed as a `T`.
+fn list<T: FromStr<Err: Display>>(it: &mut Iter<String>, flag: &str) -> Result<Vec<T>, String> {
+    let v: String = value(it, flag)?;
+    v.split(',')
+        .map(|s| s.trim().parse().map_err(|e| format!("{flag}: {e}")))
+        .collect()
 }
 
 /// Resolve the `--reconfig`/`--regions`/`--region-shape` selection:
@@ -670,8 +568,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         println!("usage: {cmd_usage}");
         return Ok(());
     }
-    let opts = parse_options(rest, needs_source(command))
-        .map_err(|e| format!("{e}\nusage: {cmd_usage}"))?;
+    let opts = parse_options(command, rest).map_err(|e| format!("{e}\nusage: {cmd_usage}"))?;
     match command.as_str() {
         "analyze" => {
             let (program, analysis) = analyzed(&opts)?;

@@ -1076,3 +1076,118 @@ fn deeply_nested_sources_are_rejected_not_stack_overflows() {
         expect_one_line_error(&["analyze", src.to_str().unwrap()], "nesting deeper than");
     }
 }
+
+#[test]
+fn long_operator_chains_are_rejected_not_stack_overflows() {
+    for op in ["+", "-", "*"] {
+        let chain = format!(
+            "int main() {{ int x = 1{}; return x; }}",
+            format!(" {op} 1").repeat(50_000)
+        );
+        let src = write_source("long_chain.c", &chain);
+        expect_one_line_error(&["analyze", src.to_str().unwrap()], "nesting deeper than");
+    }
+}
+
+/// Every flag the binary knows, with a value it accepts.
+const FLAG_TABLE: &[(&str, Option<&str>)] = &[
+    ("--input", Some("x=1")),
+    ("--constraint", Some("100")),
+    ("--area", Some("1500")),
+    ("--cgcs", Some("2")),
+    ("--areas", Some("1500")),
+    ("--cgc-list", Some("2")),
+    ("--top", Some("3")),
+    ("--block", Some("0")),
+    ("--skip-unprofitable", None),
+    ("--strategy", Some("sa")),
+    ("--seed", Some("1")),
+    ("--budget", Some("4")),
+    ("--jobs", Some("1")),
+    ("--json", None),
+    ("--max-kernels", Some("2")),
+    ("--objectives", Some("cycles")),
+    ("--app", Some("ofdm")),
+    ("--policy", Some("fcfs")),
+    ("--njobs", Some("1")),
+    ("--arrival", Some("1000")),
+    ("--load", Some("100")),
+    ("--queue-bound", Some("1")),
+    ("--no-config-cache", None),
+    ("--prefetch", None),
+    ("--sketch", Some("auto")),
+    ("--fault-rate", Some("0")),
+    ("--fault-seed", Some("1")),
+    ("--deadline", Some("100")),
+    ("--max-retries", Some("1")),
+    ("--degrade", None),
+    ("--shards", Some("1")),
+    ("--trace", Some("unused.json")),
+    ("--trace-format", Some("text")),
+    ("--profile", None),
+    ("--reconfig", Some("streamed")),
+    ("--regions", Some("1")),
+    ("--region-shape", Some("1x1")),
+];
+
+/// The `--flags` a help text names.
+fn flags_in(help: &str) -> std::collections::BTreeSet<String> {
+    help.split("--")
+        .skip(1)
+        .map(|rest| {
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                .collect();
+            format!("--{name}")
+        })
+        .collect()
+}
+
+#[test]
+fn each_subcommand_takes_exactly_the_flags_its_usage_lists() {
+    let (_, simulate_help, _) = amdrel(&["simulate", "--help"]);
+    for cmd in [
+        "analyze",
+        "partition",
+        "sweep",
+        "explore",
+        "simulate",
+        "trace",
+        "dot",
+    ] {
+        let (ok, help, _) = amdrel(&[cmd, "--help"]);
+        assert!(ok, "{cmd} --help");
+        let mut listed = flags_in(&help);
+        if cmd == "trace" {
+            listed.extend(flags_in(&simulate_help));
+        }
+        for flag in &listed {
+            assert!(
+                FLAG_TABLE.iter().any(|(f, _)| f == flag),
+                "{cmd} lists {flag}, which the flag table lacks"
+            );
+        }
+        for &(flag, value) in FLAG_TABLE {
+            // Two stray positionals fail every subcommand right after
+            // its flags parse, before any work starts.
+            let mut args = vec![cmd, flag];
+            args.extend(value);
+            args.extend(["a.c", "b.c"]);
+            let (ok, _, stderr) = amdrel(&args);
+            assert!(!ok, "{args:?}");
+            if listed.contains(flag) {
+                assert!(
+                    stderr.starts_with("error: unexpected arguments"),
+                    "{cmd} must take {flag}: {stderr}"
+                );
+            } else {
+                assert!(
+                    stderr.starts_with(&format!("error: unknown flag '{flag}' for {cmd}\n")),
+                    "{cmd} must reject {flag}: {stderr}"
+                );
+                assert!(stderr.contains(&format!("usage: amdrel {cmd}")), "{stderr}");
+            }
+        }
+    }
+}
