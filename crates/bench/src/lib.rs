@@ -1,8 +1,9 @@
-//! # amdrel-bench — shared setup for the benchmark harness
+//! # amdrel-bench — shared workload setup
 //!
-//! Each Criterion bench under `benches/` times one hot path of the flow
-//! or the runtime simulator. This crate hosts the workload setup those
-//! benches share with the tests, the examples and `bench_report`.
+//! The prepared case studies, synthetic applications and synthetic
+//! tenant populations that the tests, the examples (`bench_report`, the
+//! repository's timing program, among them) and `perfbench` all build
+//! their workloads from.
 
 #![warn(missing_docs)]
 
@@ -73,10 +74,9 @@ pub fn jpeg_small_prepared() -> Prepared {
 
 /// A synthetic application for scaling studies: `blocks` random DFG
 /// bodies strung into one loop (so every block is a kernel candidate)
-/// with random execution frequencies. Deterministic in `blocks`, and
-/// shared between the `engine_scaling` bench and the `bench_report`
-/// example so the committed `BENCH_engine.json` baseline and the bench
-/// measure the same workload.
+/// with random execution frequencies. Deterministic in `blocks`; the
+/// `engine/*_blocks_warm` rows of `BENCH_engine.json` time the engine on
+/// it.
 pub fn synthetic_app(blocks: usize) -> (amdrel_cdfg::Cdfg, Vec<u64>) {
     use amdrel_cdfg::synth::{random_dfg, SplitMix64, SynthConfig};
     use amdrel_cdfg::{BasicBlock, BlockId, Cdfg};
@@ -109,10 +109,9 @@ pub fn synthetic_app(blocks: usize) -> (amdrel_cdfg::Cdfg, Vec<u64>) {
 
 /// `n` synthetic tenant profiles for runtime scaling studies: varied
 /// service demands (2k–40k fine-grain cycles), priorities, partition
-/// footprints and communication costs, deterministic in `n`. Shared
-/// between the `runtime_scaling` bench and the `bench_report` example so
-/// the committed `BENCH_runtime.json` scaling row and the bench measure
-/// the same tenant population.
+/// footprints and communication costs, deterministic in `n`. The
+/// scaling and sharded rows of `BENCH_engine.json` and
+/// `BENCH_runtime.json` simulate this population.
 pub fn synthetic_tenants(n: usize) -> Vec<amdrel_runtime::AppProfile> {
     use amdrel_core::rng::SplitMix64;
 

@@ -11,10 +11,11 @@
 //!
 //! Mappings are handed out as [`Arc`]s: repeated lookups of the same
 //! configuration return pointer-equal clones with no copying. All methods
-//! take `&self` and the cache is `Sync`, so [`run_grid_parallel`]
-//! (see [`crate::run_grid_parallel`]) shares one cache across its worker
-//! threads; a miss is computed while the map lock is held, so each
-//! configuration is mapped exactly once even under concurrent lookups.
+//! take `&self` and the cache is `Sync`, so
+//! [`run_grid_parallel_jobs`](crate::run_grid_parallel_jobs) shares one
+//! cache across its worker threads; a miss is computed while the map lock
+//! is held, so each configuration is mapped exactly once even under
+//! concurrent lookups.
 
 use crate::CoreError;
 use amdrel_cdfg::Cdfg;

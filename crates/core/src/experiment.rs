@@ -13,7 +13,7 @@
 //!   coarse-grain mappings instead of `A·D` of each (the fine-grain
 //!   mapping depends only on the FPGA, the coarse-grain one only on the
 //!   datapath);
-//! * [`run_grid_parallel`] evaluates the cells on scoped threads (cells
+//! * [`run_grid_parallel_jobs`] evaluates the cells on scoped threads (cells
 //!   are independent), preserving the exact area-major output order of
 //!   the sequential path.
 
@@ -163,35 +163,9 @@ pub fn run_grid_cached(
     Ok(spec.grid(cells))
 }
 
-/// [`run_grid`] with the cells evaluated on scoped threads (at most
-/// [`std::thread::available_parallelism`] workers, each owning a
-/// contiguous run of cells — cells are independent). Output is identical
-/// to the sequential path, cell for cell: results land in preallocated
-/// area-major slots, and on error the first failing cell *in grid order*
-/// is reported, regardless of thread timing.
-///
-/// # Errors
-///
-/// The first configuration (in area-major grid order) whose mapping
-/// fails.
-pub fn run_grid_parallel(spec: &GridSpec<'_>) -> Result<ExperimentGrid, CoreError> {
-    run_grid_parallel_cached(spec, &MappingCache::new())
-}
-
-/// [`run_grid_parallel`] against a caller-supplied [`MappingCache`].
-///
-/// # Errors
-///
-/// The first configuration (in area-major grid order) whose mapping
-/// fails.
-pub fn run_grid_parallel_cached(
-    spec: &GridSpec<'_>,
-    cache: &MappingCache,
-) -> Result<ExperimentGrid, CoreError> {
-    run_grid_parallel_jobs(spec, cache, 0)
-}
-
-/// [`run_grid_parallel_cached`] with an explicit worker count.
+/// [`run_grid`] against a caller-supplied [`MappingCache`], with the
+/// cells evaluated on scoped threads, each worker owning a contiguous run
+/// of cells (cells are independent).
 ///
 /// `jobs == 0` keeps the automatic heuristic (one worker per available
 /// core, capped at the cell count); any other value requests exactly
@@ -199,7 +173,8 @@ pub fn run_grid_parallel_cached(
 /// the explorer's `ExploreConfig::jobs` setting. The output is identical
 /// cell for cell at every worker count (results land in preallocated
 /// area-major slots), so callers may tune throughput without affecting
-/// results.
+/// results. On error the first failing cell *in grid order* is reported,
+/// regardless of thread timing.
 ///
 /// # Errors
 ///
@@ -432,7 +407,7 @@ mod tests {
             constraint: initial / 2,
         };
         let sequential = run_grid_cached(&spec, &MappingCache::new()).unwrap();
-        let parallel = run_grid_parallel(&spec).unwrap();
+        let parallel = run_grid_parallel_jobs(&spec, &MappingCache::new(), 0).unwrap();
         assert_eq!(sequential, parallel);
     }
 
@@ -488,7 +463,7 @@ mod tests {
             };
             run_grid_cached(&spec, &cache).unwrap();
         }
-        run_grid_parallel_cached(&spec, &cache).unwrap();
+        run_grid_parallel_jobs(&spec, &cache, 0).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.fine_misses, areas.len() as u64);
         assert_eq!(stats.coarse_misses, datapaths.len() as u64);

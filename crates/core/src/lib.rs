@@ -19,9 +19,8 @@
 //! * [`MappingCache`] — shared memoisation of the fabric mappings (fine
 //!   by FPGA config, coarse by datapath/scheduler config), so design-space
 //!   sweeps map each configuration once;
-//! * [`run_grid_parallel`] — the grid sweep on scoped threads, cell-for-
-//!   cell identical output to [`run_grid`] (worker count controllable via
-//!   [`run_grid_parallel_jobs`]);
+//! * [`run_grid_parallel_jobs`] — the grid sweep on scoped threads,
+//!   cell-for-cell identical output to [`run_grid`] at any worker count;
 //! * [`rng`] — the deterministic seeded [`rng::SplitMix64`] stream that
 //!   makes design-space exploration reproducible and
 //!   thread-count-independent;
@@ -84,8 +83,8 @@ pub use engine::{
     Assignment, Breakdown, EngineConfig, MoveRecord, PartitionResult, PartitioningEngine,
 };
 pub use experiment::{
-    format_paper_table, run_grid, run_grid_cached, run_grid_parallel, run_grid_parallel_cached,
-    run_grid_parallel_jobs, ExperimentGrid, GridCell, GridSpec,
+    format_paper_table, run_grid, run_grid_cached, run_grid_parallel_jobs, ExperimentGrid,
+    GridCell, GridSpec,
 };
 pub use flow::{run_flow, run_flow_cached, run_flow_with, FlowOutcome};
 pub use pipeline::{pipeline_report, PipelineReport, Stage};

@@ -55,8 +55,8 @@ use amdrel_trace::{TraceBuffer, TraceSink};
 
 /// The shard partition function: application `app` lives on shard
 /// `app % shards`. Deterministic, total, and independent of the job
-/// stream — the same function the sharded benches use to pre-partition
-/// work for serial per-shard timing.
+/// stream — the same function `bench_report` uses to pre-partition work
+/// for serial per-shard timing.
 ///
 /// # Panics
 ///

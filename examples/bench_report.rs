@@ -1,43 +1,92 @@
-//! Machine-readable perf baseline: run the engine/sweep micro-benchmarks
-//! and write `BENCH_engine.json` with the mean ns per operation, one
-//! seeded exploration per search strategy into `BENCH_explore.json` with
-//! its effort counters, the static-vs-contention co-exploration
-//! frontiers into `BENCH_explore_contention.json` (including the
-//! platform points only the contention-aware search surfaces), and one
-//! seeded 3-app runtime simulation per scheduling policy into
-//! `BENCH_runtime.json` (simulated throughput, latency percentiles,
-//! reconfiguration-stall share, wall-clock simulation speed, one
-//! fault-injected reliability row for the recovery invariants, and one
-//! floorplan row comparing region-granular partial reconfiguration
-//! against streamed full-fabric loads), so the
-//! perf, search-efficiency and servable-workload trajectories can all
-//! be tracked PR over PR (and checked in CI without the full bench
-//! harness). Each file's schema and regression signatures are
-//! documented in `docs/BENCHMARKS.md`.
+//! Machine-readable perf baseline and the repository's one timing
+//! program. Every wall-clock row goes through [`sample`] (median, min and
+//! max ns per call over a fixed number of batched samples) and lands in
+//! `BENCH_engine.json`: the engine move loop across app sizes, grid
+//! sweeps with and without the mapping cache, one exploration per search
+//! strategy, the runtime simulator per policy, fault configuration, job
+//! count and shard count, the floorplanner, and the tracing sink. The
+//! same run writes the deterministic baselines: one seeded exploration
+//! per search strategy into `BENCH_explore.json` with its effort
+//! counters, the static-vs-contention co-exploration frontiers into
+//! `BENCH_explore_contention.json` (including the platform points only
+//! the contention-aware search surfaces), and one seeded 3-app runtime
+//! simulation per scheduling policy into `BENCH_runtime.json`
+//! (simulated throughput, latency percentiles, reconfiguration-stall
+//! share, wall-clock simulation speed, one fault-injected reliability
+//! row for the recovery invariants, one floorplan row comparing
+//! region-granular partial reconfiguration against streamed full-fabric
+//! loads, and the million-job scaling and sharded rows), so the perf,
+//! search-efficiency and servable-workload trajectories can all be
+//! tracked and checked in CI. Each file's schema and regression
+//! signatures are documented in `docs/BENCHMARKS.md`.
 //!
 //! Run with: `cargo run --release --example bench_report`
 
 use amdrel::core::json::{document, Document, Fixed, Json, Sep};
 use amdrel::prelude::*;
 use amdrel_bench::{synthetic_app, synthetic_tenants};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Mean wall-clock ns of `routine` over a short fixed budget (one warm-up
-/// call, then as many timed iterations as fit in ~200 ms).
-fn measure<O>(mut routine: impl FnMut() -> O) -> (f64, u64) {
-    const BUDGET: Duration = Duration::from_millis(200);
-    std::hint::black_box(routine());
-    let start = Instant::now();
-    let mut iters: u64 = 0;
-    while start.elapsed() < BUDGET || iters == 0 {
-        std::hint::black_box(routine());
-        iters += 1;
+/// Timed samples per row; odd, so the median is one of them.
+const SAMPLES: usize = 11;
+/// The shortest span one sample should cover: a routine faster than this
+/// is called `batch` times per sample.
+const MIN_SAMPLE: Duration = Duration::from_millis(10);
+
+/// Wall-clock ns per call of one routine: the median, min and max over
+/// [`SAMPLES`] samples of `batch` calls each.
+#[derive(Clone, Copy)]
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+    batch: u64,
+}
+
+impl Timing {
+    /// The same spread per unit of work, for a routine doing `units`.
+    fn per(self, units: usize) -> Timing {
+        let units = units.max(1) as f64;
+        Timing {
+            median: self.median / units,
+            min: self.min / units,
+            max: self.max / units,
+            ..self
+        }
     }
-    (start.elapsed().as_nanos() as f64 / iters as f64, iters)
+}
+
+/// Time `routine`: one warm-up call sizes the batch so each sample lasts
+/// at least [`MIN_SAMPLE`], then [`SAMPLES`] batches are timed. Returns
+/// the spread and the warm-up call's output.
+fn sample<O>(mut routine: impl FnMut() -> O) -> (Timing, O) {
+    let start = Instant::now();
+    let output = routine();
+    let warm_up = start.elapsed().as_nanos().max(1);
+    let batch = MIN_SAMPLE.as_nanos().div_ceil(warm_up) as u64;
+    let mut ns: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            start.elapsed().as_nanos() as f64 / batch as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let timing = Timing {
+        median: ns[SAMPLES / 2],
+        min: ns[0],
+        max: ns[SAMPLES - 1],
+        batch,
+    };
+    (timing, output)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut report: Vec<(String, f64, u64)> = Vec::new();
+    let mut report: Vec<(String, Timing)> = Vec::new();
+    let mut row = |name: &str, timing: Timing| report.push((name.to_owned(), timing));
 
     // --- Engine move loop on the OFDM case study (warm mapping cache).
     let workload = ofdm::workload(2004);
@@ -53,23 +102,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = PartitioningEngine::new(&program.cdfg, &ofdm_analysis, &platform)
         .with_mapping_cache(&cache);
     engine.run(paper::OFDM_CONSTRAINT)?; // warm the cache
-    let (ns, iters) = measure(|| engine.run(paper::OFDM_CONSTRAINT).expect("engine runs"));
-    report.push(("engine/run_ofdm_a1500_c2_warm".into(), ns, iters));
+    let (t, _) = sample(|| engine.run(paper::OFDM_CONSTRAINT).expect("engine runs"));
+    row("engine/run_ofdm_a1500_c2_warm", t);
 
-    // --- Engine move loop at scale (512 synthetic kernels, all moved).
-    let (cdfg, freqs) = synthetic_app(512);
-    let synth_analysis = AnalysisReport::analyze(&cdfg, &freqs, &WeightTable::paper());
-    let cache = MappingCache::new();
-    let engine =
-        PartitioningEngine::new(&cdfg, &synth_analysis, &platform).with_mapping_cache(&cache);
-    let moves = engine.run(1)?.moves.len().max(1);
-    let (ns, iters) = measure(|| engine.run(1).expect("engine runs"));
-    report.push(("engine/move_loop_512_blocks_warm".into(), ns, iters));
-    report.push((
-        "engine/per_move_512_blocks_warm".into(),
-        ns / moves as f64,
-        iters,
-    ));
+    // --- Engine move loop across app sizes (synthetic kernels, all
+    //     moved). The loop is O(1) per move, so per_move stays flat in
+    //     the block count.
+    for blocks in [8, 32, 128, 512] {
+        let (cdfg, freqs) = synthetic_app(blocks);
+        let analysis = AnalysisReport::analyze(&cdfg, &freqs, &WeightTable::paper());
+        let cache = MappingCache::new();
+        let engine =
+            PartitioningEngine::new(&cdfg, &analysis, &platform).with_mapping_cache(&cache);
+        let moves = engine.run(1)?.moves.len(); // also warms the cache
+        let (t, _) = sample(|| engine.run(1).expect("engine runs"));
+        row(&format!("engine/move_loop_{blocks}_blocks_warm"), t);
+        row(
+            &format!("engine/per_move_{blocks}_blocks_warm"),
+            t.per(moves),
+        );
+    }
 
     // --- Grid sweeps over the OFDM design space.
     let areas = [1200u64, 1500, 5000, 20_000];
@@ -83,20 +135,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         datapaths: &datapaths,
         constraint: paper::OFDM_CONSTRAINT,
     };
-    let (ns, iters) = measure(|| run_grid_cached(&spec, &MappingCache::new()).expect("grid runs"));
-    report.push(("sweep/run_grid_cached_cold".into(), ns, iters));
-    let (ns, iters) =
-        measure(|| run_grid_parallel_cached(&spec, &MappingCache::new()).expect("grid runs"));
-    report.push(("sweep/run_grid_parallel_cold".into(), ns, iters));
+    // The pre-cache behaviour: every cell maps both fabrics privately.
+    let (t, _) = sample(|| {
+        for &area in &areas {
+            for dp in &datapaths {
+                let mut cell = platform.clone();
+                cell.fpga.total_area = area;
+                cell.datapath = dp.clone();
+                black_box(
+                    PartitioningEngine::new(&program.cdfg, &ofdm_analysis, &cell)
+                        .run(paper::OFDM_CONSTRAINT)
+                        .expect("engine runs"),
+                );
+            }
+        }
+    });
+    row("sweep/uncached_per_cell", t);
+    let (t, _) = sample(|| run_grid_cached(&spec, &MappingCache::new()).expect("grid runs"));
+    row("sweep/run_grid_cached_cold", t);
+    let (t, _) =
+        sample(|| run_grid_parallel_jobs(&spec, &MappingCache::new(), 0).expect("grid runs"));
+    row("sweep/run_grid_parallel_cold", t);
     let warm = MappingCache::new();
     run_grid_cached(&spec, &warm)?;
-    let (ns, iters) = measure(|| run_grid_cached(&spec, &warm).expect("grid runs"));
-    report.push(("sweep/run_grid_warm_cache".into(), ns, iters));
+    let (t, _) = sample(|| run_grid_cached(&spec, &warm).expect("grid runs"));
+    row("sweep/run_grid_warm_cache", t);
 
     // --- Exploration strategies over the OFDM design space: one seeded
-    //     run per strategy, recording effort counters and wall time for
-    //     BENCH_explore.json (the search-efficiency baseline asserted by
-    //     the apps-crate acceptance test).
+    //     run per strategy on a cold mapping cache, recording effort
+    //     counters for BENCH_explore.json (the search-efficiency
+    //     baseline asserted by the apps-crate acceptance test).
     let space = ofdm::design_space();
     let config = ExploreConfig {
         seed: 42,
@@ -107,19 +175,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         [&Exhaustive, &RandomSampling, &SimulatedAnnealing::default()];
     let mut explore_rows = Vec::new();
     for strategy in strategies {
-        let cache = MappingCache::new();
-        let evaluator = Evaluator::new(
-            &workload.name,
-            &program.cdfg,
-            &ofdm_analysis,
-            &platform,
-            EnergyModel::default(),
-            &cache,
-        );
-        let start = Instant::now();
-        let result = explore(&evaluator, &space, strategy, &config)?;
-        let wall_ns = start.elapsed().as_nanos() as f64;
-        report.push((format!("explore/{}", result.strategy), wall_ns, 1));
+        let (t, result) = sample(|| {
+            let cache = MappingCache::new();
+            let evaluator = Evaluator::new(
+                &workload.name,
+                &program.cdfg,
+                &ofdm_analysis,
+                &platform,
+                EnergyModel::default(),
+                &cache,
+            );
+            explore(&evaluator, &space, strategy, &config).expect("exploration runs")
+        });
+        row(&format!("explore/{}", result.strategy), t);
         explore_rows.push(result);
     }
 
@@ -128,39 +196,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //     simulating the seeded standard mix on every candidate
     //     platform, for BENCH_explore_contention.json (the acceptance
     //     baseline asserted by crates/apps/tests/explore_contention.rs).
+    //     Each timed call builds a fresh evaluator on the mapping cache
+    //     the static run warmed.
     let contention = amdrel::apps::runtime::contention_evaluator("ofdm", &platform)?;
     let contention_objectives = ObjectiveSet::parse("cycles,area,energy,p95")?;
     let shared_cache = MappingCache::new();
-    let static_eval = Evaluator::new(
-        &workload.name,
-        &program.cdfg,
-        &ofdm_analysis,
-        &platform,
-        EnergyModel::default(),
-        &shared_cache,
-    );
-    let static_frontier = explore(&static_eval, &space, &Exhaustive, &config)?;
-    let contention_eval = Evaluator::new(
-        &workload.name,
-        &program.cdfg,
-        &ofdm_analysis,
-        &platform,
-        EnergyModel::default(),
-        &shared_cache,
-    )
-    .with_objectives(contention_objectives)
-    .with_runtime(&contention);
-    let start = Instant::now();
-    let contention_frontier = explore(&contention_eval, &space, &Exhaustive, &config)?;
-    report.push((
-        "explore/contention_exhaustive".into(),
-        start.elapsed().as_nanos() as f64,
-        1,
-    ));
+    let evaluator = || {
+        Evaluator::new(
+            &workload.name,
+            &program.cdfg,
+            &ofdm_analysis,
+            &platform,
+            EnergyModel::default(),
+            &shared_cache,
+        )
+    };
+    let static_frontier = explore(&evaluator(), &space, &Exhaustive, &config)?;
+    let (t, contention_frontier) = sample(|| {
+        let contention_eval = evaluator()
+            .with_objectives(contention_objectives.clone())
+            .with_runtime(&contention);
+        explore(&contention_eval, &space, &Exhaustive, &config).expect("exploration runs")
+    });
+    row("explore/contention_exhaustive", t);
 
     // --- Runtime simulator on the seeded 3-app standard mix: one
-    //     simulation per scheduling policy for BENCH_runtime.json, plus
-    //     a wall-clock timing of the FCFS run for the perf report.
+    //     simulation per scheduling policy for BENCH_runtime.json, each
+    //     timed for the perf report.
     let sim_platform = Platform::paper(1500, 2);
     let profiles = amdrel::apps::runtime::standard_mix(&sim_platform)?;
     let spec = WorkloadSpec::uniform(42, 400, &profiles, 130);
@@ -170,46 +232,75 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["fcfs", "sjf", "priority", "affinity"] {
         let policy = policy_by_name(name).expect("built-in policy");
         let run = sim.policy(policy.as_ref());
-        let (wall_ns, iters) = measure(|| run.run(&sim_jobs));
-        let result = run.run(&sim_jobs);
-        let sim_jobs_per_sec = result.completed() as f64 * 1e9 / wall_ns;
-        if name == "fcfs" {
-            report.push(("runtime/fcfs_400_jobs".into(), wall_ns, iters));
-        }
+        let (t, result) = sample(|| run.run(&sim_jobs));
+        let sim_jobs_per_sec = result.completed() as f64 * 1e9 / t.median;
+        row(&format!("runtime/{name}_400_jobs"), t);
         runtime_rows.push((result, sim_jobs_per_sec));
     }
 
-    // --- Planet-scale runtime row: one million jobs over 32 synthetic
-    //     tenants, streamed through the calendar-queue engine with
-    //     sketched percentiles (the stream is never materialised and
-    //     latency memory stays O(1) in the job count). Timed once — at
-    //     this size a single run is its own statistics.
+    // --- Fault layer on the same mix under affinity, whose fault-free
+    //     run is runtime/affinity_400_jobs: inert is the zero-cost check
+    //     (a zero-rate spec must not slow the hot loop), abort and
+    //     degrade price recovery at 30 permille.
+    let affinity = policy_by_name("affinity").expect("built-in policy");
+    let affinity_sim = sim.policy(affinity.as_ref());
+    let fault_rate: u16 = 30;
+    let faults = FaultSpec::uniform(7, fault_rate);
+    let abort = RecoveryPolicy::default();
+    let recovery = RecoveryPolicy {
+        degrade: true,
+        ..abort
+    };
+    for (name, faults, recovery) in [
+        ("inert", FaultSpec::uniform(7, 0), abort),
+        ("abort", faults, abort),
+        ("degrade", faults, recovery),
+    ] {
+        let run = affinity_sim.faults(faults).recovery(recovery);
+        let (t, _) = sample(|| run.run(&sim_jobs));
+        row(&format!("runtime/faults_{name}_400_jobs"), t);
+    }
+
+    // --- Calendar-queue engine at scale: 32 synthetic tenants streamed
+    //     with sketched percentiles (the stream is never materialised and
+    //     latency memory stays O(1) in the job count), so jobs/sec stays
+    //     roughly flat across two orders of magnitude up to the
+    //     million-job row of BENCH_runtime.json.
     let tenants = synthetic_tenants(32);
-    let scaling_spec = WorkloadSpec::uniform(42, 1_000_000, &tenants, 90);
     let scaling_sim = Simulation::new(&sim_platform)
         .profiles(&tenants)
         .policy(&Fcfs)
         .sketch_mode(SketchMode::Sketched);
-    let start = Instant::now();
-    let scaling_report = scaling_sim.run_mix(&scaling_spec);
-    let scaling_wall_ns = start.elapsed().as_nanos() as f64;
-    let scaling_jobs_per_sec = scaling_report.completed() as f64 * 1e9 / scaling_wall_ns;
-    report.push(("runtime/fcfs_1m_jobs_32_tenants".into(), scaling_wall_ns, 1));
+    for (label, jobs) in [("4k", 4_000), ("40k", 40_000), ("400k", 400_000)] {
+        let mix = WorkloadSpec::uniform(42, jobs, &tenants, 90);
+        let (t, _) = sample(|| scaling_sim.run_mix(&mix));
+        row(&format!("runtime/fcfs_{label}_jobs_32_tenants"), t);
+    }
+    let scaling_spec = WorkloadSpec::uniform(42, 1_000_000, &tenants, 90);
+    let (t, scaling_report) = sample(|| scaling_sim.run_mix(&scaling_spec));
+    let scaling_jobs_per_sec = scaling_report.completed() as f64 * 1e9 / t.median;
+    row("runtime/fcfs_1m_jobs_32_tenants", t);
 
-    // --- Sharded scaling row: the same million-job population split
-    //     across 8 independent platform replicas (`Simulation::shards`)
-    //     and folded back with the deterministic shard-order merge. The
-    //     threaded wall-clock rate depends on how many cores this box
-    //     has, so the committed row also records the
+    // --- Sharded timelines (`Simulation::shards`): the threaded run at
+    //     1/2/4/8 shards on 100k jobs, then the million-job population
+    //     split across 8 replicas and folded back with the deterministic
+    //     shard-order merge. The threaded wall-clock rate depends on how
+    //     many cores the host has, so the committed row also records the
     //     scheduler-independent aggregate rate — each shard's
     //     subsequence timed serially through the plain engine, rates
     //     summed — which is what CI gates against the unsharded row.
+    let shard_jobs = WorkloadSpec::uniform(42, 100_000, &tenants, 90).generate(&tenants);
+    for shards in [1, 2, 4, 8] {
+        let run = scaling_sim.shards(shards);
+        let (t, _) = sample(|| run.run(&shard_jobs));
+        row(&format!("runtime/fcfs_100k_jobs_{shards}_shards"), t);
+    }
     let shard_count: usize = 8;
     let scaling_jobs = scaling_spec.generate(&tenants);
-    let start = Instant::now();
-    let sharded_report = scaling_sim.shards(shard_count).run(&scaling_jobs);
-    let sharded_wall_ns = start.elapsed().as_nanos() as f64;
-    let sharded_jobs_per_sec = sharded_report.completed() as f64 * 1e9 / sharded_wall_ns;
+    let sharded = scaling_sim.shards(shard_count);
+    let (t, sharded_report) = sample(|| sharded.run(&scaling_jobs));
+    let sharded_jobs_per_sec = sharded_report.completed() as f64 * 1e9 / t.median;
+    row("runtime/fcfs_1m_jobs_8_shards", t);
     let mut shard_agg_jobs_per_sec = 0.0;
     for shard in 0..shard_count {
         let subset: Vec<_> = scaling_jobs
@@ -220,15 +311,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if subset.is_empty() {
             continue;
         }
-        let start = Instant::now();
-        let part = scaling_sim.run(&subset);
-        shard_agg_jobs_per_sec += part.completed() as f64 * 1e9 / start.elapsed().as_nanos() as f64;
+        let (t, part) = sample(|| scaling_sim.run(&subset));
+        shard_agg_jobs_per_sec += part.completed() as f64 * 1e9 / t.median;
     }
-    report.push(("runtime/fcfs_1m_jobs_8_shards".into(), sharded_wall_ns, 1));
 
     // --- Floorplanner on the standard mix's real configuration
     //     footprints: the joint 4-band placement every region-mode
-    //     simulation freezes up front, timed for the perf baseline.
+    //     simulation freezes up front, the region plan built on it, and
+    //     the affinity run under that plan (the streamed run is
+    //     runtime/affinity_400_jobs).
     let mix_footprints: Vec<Footprint> = profiles
         .iter()
         .enumerate()
@@ -240,19 +331,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let floorplan_grid = FabricGrid::uniform(sim_platform.fpga.usable_area(), 4);
-    let (ns, iters) = measure(|| Floorplanner.place(&floorplan_grid, &mix_footprints));
-    report.push(("floorplan/place_standard_mix_4_regions".into(), ns, iters));
+    let (t, _) = sample(|| Floorplanner.place(&floorplan_grid, &mix_footprints));
+    row("floorplan/place_standard_mix_4_regions", t);
+    let (t, region_plan) = sample(|| RegionPlan::new(&profiles, &floorplan_grid));
+    row("floorplan/region_plan_standard_mix", t);
+    let regioned = affinity_sim.regions(&region_plan);
+    let (t, region_report) = sample(|| regioned.run(&sim_jobs));
+    row("floorplan/simulate_region_400_jobs", t);
+
+    // --- Tracing sink on the affinity run (the untraced run is
+    //     runtime/affinity_400_jobs; CI holds traced below 2x of it),
+    //     the same with faults injected, and the Chrome export of the
+    //     fault-free trace.
+    let traced_run = |run: &Simulation| {
+        let sink = TraceBuffer::new();
+        let report = run.trace(&sink).run(&sim_jobs);
+        (report, sink)
+    };
+    let (t, (_, sink)) = sample(|| traced_run(&affinity_sim));
+    row("trace/traced_400_jobs", t);
+    let faulted_sim = affinity_sim.faults(faults);
+    let (t, _) = sample(|| traced_run(&faulted_sim));
+    row("trace/traced_faulted_400_jobs", t);
+    let events = sink.events();
+    let (t, _) = sample(|| chrome_trace(&events));
+    row("trace/chrome_export", t);
 
     // --- Emit BENCH_engine.json.
     let json = document(|doc| {
-        doc.field("schema", "amdrel-bench-report/v1");
-        doc.field("unit", "mean ns per op");
+        doc.field("schema", "amdrel-bench-report/v2");
+        doc.field("unit", "ns per op");
+        doc.field("samples", SAMPLES);
         doc.rows("benches", Sep::Spaced, |rows| {
-            for (name, ns, iters) in &report {
+            for (name, t) in &report {
                 rows.elem_object(|row| {
                     row.field("name", name);
-                    row.field("mean_ns", Fixed(*ns, 1));
-                    row.field("iters", *iters);
+                    row.field("median_ns", Fixed(t.median, 1));
+                    row.field("min_ns", Fixed(t.min, 1));
+                    row.field("max_ns", Fixed(t.max, 1));
+                    row.field("batch", t.batch);
                 });
             }
         });
@@ -360,12 +477,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 30 permille and graceful degradation on, so CI can gate the
     // recovery invariants (availability in (0, 1], goodput <= raw
     // throughput, salvage accounting consistent with what was injected).
-    let fault_rate: u16 = 30;
-    let faults = FaultSpec::uniform(7, fault_rate);
-    let recovery = RecoveryPolicy {
-        degrade: true,
-        ..RecoveryPolicy::default()
-    };
     let fcfs = policy_by_name("fcfs").expect("built-in policy");
     let faulted = sim
         .policy(fcfs.as_ref())
@@ -374,15 +485,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run(&sim_jobs);
     let rel = &faulted.reliability;
     // The floorplan row: the same seeded 400-job mix under affinity,
-    // once with streamed full-fabric loads and once under the 4-region
-    // partial-reconfiguration plan, so CI can gate the placement win
-    // (region stall share strictly below streamed) and pin the
-    // deterministic fragmentation statistics.
-    let affinity = policy_by_name("affinity").expect("built-in policy");
-    let affinity_sim = sim.policy(affinity.as_ref());
-    let streamed = affinity_sim.run(&sim_jobs);
-    let region_plan = RegionPlan::new(&profiles, &floorplan_grid);
-    let region_report = affinity_sim.regions(&region_plan).run(&sim_jobs);
+    // once with streamed full-fabric loads (the affinity policy row) and
+    // once under the 4-region partial-reconfiguration plan, so CI can
+    // gate the placement win (region stall share strictly below
+    // streamed) and pin the deterministic fragmentation statistics.
+    let streamed = &runtime_rows[3].0;
     let frag = region_plan.stats();
     // The scaling row: throughput_ratio normalises the wall-clock rate to
     // the 400-job FCFS row above; scale_up is the jobs/sec-normalised
@@ -503,9 +610,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     std::fs::write("BENCH_runtime.json", &json)?;
 
-    println!("{:<40} {:>14} {:>10}", "bench", "mean ns/op", "iters");
-    for (name, ns, iters) in &report {
-        println!("{name:<40} {ns:>14.1} {iters:>10}");
+    println!(
+        "{:<40} {:>14} {:>14} {:>14} {:>7}",
+        "bench", "median ns/op", "min", "max", "batch"
+    );
+    for (name, t) in &report {
+        println!(
+            "{name:<40} {:>14.1} {:>14.1} {:>14.1} {:>7}",
+            t.median, t.min, t.max, t.batch
+        );
     }
     println!(
         "\nwrote BENCH_engine.json, BENCH_explore.json, BENCH_explore_contention.json \

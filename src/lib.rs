@@ -76,9 +76,8 @@ pub mod prelude {
     pub use amdrel_core::ReconfigModel;
     pub use amdrel_core::{
         format_paper_table, run_flow, run_flow_cached, run_grid, run_grid_cached,
-        run_grid_parallel, run_grid_parallel_cached, run_grid_parallel_jobs, Assignment,
-        CacheStats, CommModel, EnergyModel, EngineConfig, GridSpec, MappingCache, PartitionResult,
-        PartitioningEngine, Platform,
+        run_grid_parallel_jobs, Assignment, CacheStats, CommModel, EnergyModel, EngineConfig,
+        GridSpec, MappingCache, PartitionResult, PartitioningEngine, Platform,
     };
     pub use amdrel_explore::{
         explore, ContentionMetrics, DesignSpace, Evaluator, Exhaustive, ExploreConfig,

@@ -2,13 +2,15 @@
 //! baselines straight from library calls — not through the CLI and not
 //! through `examples/bench_report.rs` — so a drift in any committed
 //! number (or in the simulator behind it) fails here with the exact
-//! field named. Wall-clock fields (`mean_ns`, `*_jobs_per_sec`,
-//! `throughput_ratio`, `scale_up`, `agg_speedup`) are machine-local by
-//! design and are only checked for presence, never for value.
+//! field named. Wall-clock fields (`median_ns`, `min_ns`, `max_ns`,
+//! `*_jobs_per_sec`, `throughput_ratio`, `scale_up`, `agg_speedup`) are
+//! machine-local by design and are only checked for presence and
+//! ordering, never for value.
 //!
-//! The committed files are hand-emitted JSON with a fixed shape (the
-//! workspace has no JSON dependency), so field access here is a
-//! small brace-matching extractor rather than a full parser.
+//! Every committed file is rendered by the one JSON writer,
+//! `amdrel_core::json`, in a fixed layout (one key per line, one row per
+//! line), so field access here is a small brace-matching extractor
+//! rather than a full parser.
 
 use amdrel::prelude::*;
 use amdrel_bench::synthetic_tenants;
@@ -99,8 +101,12 @@ fn standard_setup() -> (Platform, Vec<AppProfile>, WorkloadSpec) {
 #[test]
 fn bench_engine_rows_are_the_expected_set() {
     let json = load("BENCH_engine.json");
-    assert_eq!(str_field(&json, "schema"), "amdrel-bench-report/v1");
-    assert_eq!(str_field(&json, "unit"), "mean ns per op");
+    assert_eq!(str_field(&json, "schema"), "amdrel-bench-report/v2");
+    assert_eq!(str_field(&json, "unit"), "ns per op");
+    assert!(
+        u64_field(&json, "samples") % 2 == 1,
+        "the median needs an odd sample count"
+    );
     let names: Vec<&str> = objects_in(section(&json, "benches"))
         .iter()
         .map(|row| str_field(row, "name"))
@@ -109,8 +115,15 @@ fn bench_engine_rows_are_the_expected_set() {
         names,
         [
             "engine/run_ofdm_a1500_c2_warm",
+            "engine/move_loop_8_blocks_warm",
+            "engine/per_move_8_blocks_warm",
+            "engine/move_loop_32_blocks_warm",
+            "engine/per_move_32_blocks_warm",
+            "engine/move_loop_128_blocks_warm",
+            "engine/per_move_128_blocks_warm",
             "engine/move_loop_512_blocks_warm",
             "engine/per_move_512_blocks_warm",
+            "sweep/uncached_per_cell",
             "sweep/run_grid_cached_cold",
             "sweep/run_grid_parallel_cold",
             "sweep/run_grid_warm_cache",
@@ -119,19 +132,39 @@ fn bench_engine_rows_are_the_expected_set() {
             "explore/sa",
             "explore/contention_exhaustive",
             "runtime/fcfs_400_jobs",
+            "runtime/sjf_400_jobs",
+            "runtime/priority_400_jobs",
+            "runtime/affinity_400_jobs",
+            "runtime/faults_inert_400_jobs",
+            "runtime/faults_abort_400_jobs",
+            "runtime/faults_degrade_400_jobs",
+            "runtime/fcfs_4k_jobs_32_tenants",
+            "runtime/fcfs_40k_jobs_32_tenants",
+            "runtime/fcfs_400k_jobs_32_tenants",
             "runtime/fcfs_1m_jobs_32_tenants",
+            "runtime/fcfs_100k_jobs_1_shards",
+            "runtime/fcfs_100k_jobs_2_shards",
+            "runtime/fcfs_100k_jobs_4_shards",
+            "runtime/fcfs_100k_jobs_8_shards",
             "runtime/fcfs_1m_jobs_8_shards",
             "floorplan/place_standard_mix_4_regions",
+            "floorplan/region_plan_standard_mix",
+            "floorplan/simulate_region_400_jobs",
+            "trace/traced_400_jobs",
+            "trace/traced_faulted_400_jobs",
+            "trace/chrome_export",
         ],
         "the committed perf-row set drifted from bench_report"
     );
     for row in objects_in(section(&json, "benches")) {
+        let ns = |key| raw(row, key).parse::<f64>().unwrap();
+        let (min, median, max) = (ns("min_ns"), ns("median_ns"), ns("max_ns"));
         assert!(
-            raw(row, "mean_ns").parse::<f64>().unwrap() > 0.0,
-            "{} has a non-positive mean",
+            0.0 < min && min <= median && median <= max,
+            "{}: expected 0 < min {min} <= median {median} <= max {max}",
             str_field(row, "name")
         );
-        assert!(u64_field(row, "iters") >= 1);
+        assert!(u64_field(row, "batch") >= 1);
     }
 }
 

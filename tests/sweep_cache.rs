@@ -59,7 +59,7 @@ fn parallel_grid_matches_sequential_through_facade() {
         initial / 2,
     )
     .expect("grid runs");
-    let parallel = run_grid_parallel(&spec).expect("grid runs");
+    let parallel = run_grid_parallel_jobs(&spec, &MappingCache::new(), 0).expect("grid runs");
     assert_eq!(sequential, parallel);
     // And the paper-table rendering agrees, cell for cell.
     assert_eq!(
@@ -109,7 +109,7 @@ fn grid_maps_each_area_and_datapath_once() {
         constraint: 1, // tight: every cell maps both fabrics
     };
     run_grid_cached(&spec, &cache).expect("grid runs");
-    run_grid_parallel_cached(&spec, &cache).expect("grid runs");
+    run_grid_parallel_jobs(&spec, &cache, 0).expect("grid runs");
     let stats = cache.stats();
     assert_eq!(stats.fine_misses, areas.len() as u64);
     assert_eq!(stats.coarse_misses, datapaths.len() as u64);
