@@ -191,9 +191,7 @@ impl<'p> Interpreter<'p> {
             Instr::Load { dst, array, index } => {
                 let i = read(*index, vars);
                 let slice = array_slice(*array, globals, locals);
-                let name = self.array_name(*array);
-                let v = checked_index(slice, i, name)?;
-                vars[dst.index()] = v;
+                vars[dst.index()] = checked_index(slice, i, || self.array_name(*array))?;
             }
             Instr::Store {
                 array,
@@ -202,15 +200,14 @@ impl<'p> Interpreter<'p> {
             } => {
                 let i = read(*index, vars);
                 let v = read(*value, vars);
-                let name = self.array_name(*array);
                 let slice = array_slice_mut(*array, globals, locals);
-                let cell = checked_index_mut(slice, i, name)?;
-                *cell = v;
+                *checked_index_mut(slice, i, || self.array_name(*array))? = v;
             }
         }
         Ok(())
     }
 
+    /// The array's source name, built only for an out-of-bounds error.
     fn array_name(&self, array: ArrayRef) -> String {
         match array {
             ArrayRef::Global(g) => self.ir.globals[g as usize].name.clone(),
@@ -285,24 +282,34 @@ fn array_slice_mut<'a>(
     }
 }
 
-fn checked_index(slice: &[i64], i: i64, name: String) -> Result<i64, ProfileError> {
+// Both take the array name as a closure: it is called only on the error
+// path, so an in-range access allocates nothing.
+fn checked_index(
+    slice: &[i64],
+    i: i64,
+    name: impl FnOnce() -> String,
+) -> Result<i64, ProfileError> {
     usize::try_from(i)
         .ok()
         .and_then(|i| slice.get(i).copied())
-        .ok_or(ProfileError::IndexOutOfBounds {
-            array: name,
+        .ok_or_else(|| ProfileError::IndexOutOfBounds {
+            array: name(),
             index: i,
             len: slice.len(),
         })
 }
 
-fn checked_index_mut(slice: &mut [i64], i: i64, name: String) -> Result<&mut i64, ProfileError> {
+fn checked_index_mut(
+    slice: &mut [i64],
+    i: i64,
+    name: impl FnOnce() -> String,
+) -> Result<&mut i64, ProfileError> {
     let len = slice.len();
     usize::try_from(i)
         .ok()
         .and_then(move |idx| slice.get_mut(idx))
-        .ok_or(ProfileError::IndexOutOfBounds {
-            array: name,
+        .ok_or_else(|| ProfileError::IndexOutOfBounds {
+            array: name(),
             index: i,
             len,
         })
@@ -423,6 +430,65 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    fn assert_out_of_bounds(src: &str, array: &str, index: i64, len: usize, message: &str) {
+        let e = run_err(src);
+        assert_eq!(
+            e,
+            ProfileError::IndexOutOfBounds {
+                array: array.to_owned(),
+                index,
+                len,
+            }
+        );
+        assert_eq!(e.to_string(), message);
+    }
+
+    // Each program declares a global and a local array of different names
+    // and lengths, so a name or length read from the wrong table fails.
+    #[test]
+    fn global_load_out_of_bounds_names_the_global() {
+        assert_out_of_bounds(
+            "int a[4]; int main() { int b[6]; int i = 9; return a[i] + b[0]; }",
+            "a",
+            9,
+            4,
+            "index 9 out of bounds for 'a' (len 4)",
+        );
+    }
+
+    #[test]
+    fn global_store_out_of_bounds_names_the_global() {
+        assert_out_of_bounds(
+            "int a[4]; int main() { int b[6]; int i = 0 - 2; a[i] = 1; return b[0]; }",
+            "a",
+            -2,
+            4,
+            "index -2 out of bounds for 'a' (len 4)",
+        );
+    }
+
+    #[test]
+    fn local_load_out_of_bounds_names_the_local() {
+        assert_out_of_bounds(
+            "int a[4]; int main() { int b[6]; int i = 6; return a[0] + b[i]; }",
+            "b",
+            6,
+            6,
+            "index 6 out of bounds for 'b' (len 6)",
+        );
+    }
+
+    #[test]
+    fn local_store_out_of_bounds_names_the_local() {
+        assert_out_of_bounds(
+            "int a[4]; int main() { int b[6]; int i = 0 - 1; b[i] = a[0]; return b[0]; }",
+            "b",
+            -1,
+            6,
+            "index -1 out of bounds for 'b' (len 6)",
+        );
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Machine-readable perf baseline and the repository's one timing
 //! program. Every wall-clock row goes through [`sample`] (median, min and
 //! max ns per call over a fixed number of batched samples) and lands in
-//! `BENCH_engine.json`: the engine move loop across app sizes, grid
-//! sweeps with and without the mapping cache, one exploration per search
-//! strategy, the runtime simulator per policy, fault configuration, job
-//! count and shard count, the floorplanner, and the tracing sink. The
-//! same run writes the deterministic baselines: one seeded exploration
-//! per search strategy into `BENCH_explore.json` with its effort
-//! counters, the static-vs-contention co-exploration frontiers into
-//! `BENCH_explore_contention.json` (including the platform points only
-//! the contention-aware search surfaces), and one seeded 3-app runtime
-//! simulation per scheduling policy into `BENCH_runtime.json`
+//! `BENCH_engine.json`: the profiling interpreter on the three case
+//! studies and the native JPEG encoder, the engine move loop across app
+//! sizes, grid sweeps with and without the mapping cache, one exploration
+//! per search strategy, the runtime simulator per policy, fault
+//! configuration, job count and shard count, the floorplanner, and the
+//! tracing sink. The same run writes the deterministic baselines: one
+//! seeded exploration per search strategy into `BENCH_explore.json` with
+//! its effort counters, the static-vs-contention co-exploration frontiers
+//! into `BENCH_explore_contention.json` (including the platform points
+//! only the contention-aware search surfaces), and one seeded 3-app
+//! runtime simulation per scheduling policy into `BENCH_runtime.json`
 //! (simulated throughput, latency percentiles, reconfiguration-stall
-//! share, wall-clock simulation speed, one fault-injected reliability
-//! row for the recovery invariants, one floorplan row comparing
+//! share, wall-clock simulation speed, one fault-injected reliability row
+//! for the recovery invariants, one floorplan row comparing
 //! region-granular partial reconfiguration against streamed full-fabric
 //! loads, and the million-job scaling and sharded rows), so the perf,
 //! search-efficiency and servable-workload trajectories can all be
@@ -22,6 +23,7 @@
 //!
 //! Run with: `cargo run --release --example bench_report`
 
+use amdrel::apps::sobel;
 use amdrel::core::json::{document, Document, Fixed, Json, Sep};
 use amdrel::prelude::*;
 use amdrel_bench::{synthetic_app, synthetic_tenants};
@@ -88,8 +90,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut report: Vec<(String, Timing)> = Vec::new();
     let mut row = |name: &str, timing: Timing| report.push((name.to_owned(), timing));
 
-    // --- Engine move loop on the OFDM case study (warm mapping cache).
+    // --- The profiling interpreter on each case study, and the native
+    //     encoder of the same 256x256 JPEG image (CI gates their ratio).
     let workload = ofdm::workload(2004);
+    let jpeg_workload = jpeg::workload(jpeg::PAPER_DIM, 2004);
+    let sobel_workload = sobel::workload(32, 2004);
+    for (name, case) in [
+        ("ofdm", &workload),
+        ("jpeg_256", &jpeg_workload),
+        ("sobel_32", &sobel_workload),
+    ] {
+        let program = compile(&case.source, "main")?;
+        let inputs = case.input_refs();
+        let (t, _) = sample(|| {
+            Interpreter::new(&program.ir)
+                .run(&inputs)
+                .expect("case study runs")
+        });
+        row(&format!("profiler/interp_{name}"), t);
+    }
+    let image = &jpeg_workload.inputs[0].1;
+    let (t, _) = sample(|| jpeg::encode(image, jpeg::PAPER_DIM));
+    row("apps/jpeg_reference_256", t);
+
+    // --- Engine move loop on the OFDM case study (warm mapping cache).
     let program = compile(&workload.source, "main")?;
     let execution = Interpreter::new(&program.ir).run(&workload.input_refs())?;
     let ofdm_analysis = AnalysisReport::analyze(

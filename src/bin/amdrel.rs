@@ -62,7 +62,10 @@
 //! and repeated runs produce byte-identical traces. `--profile` prints
 //! an `amdrel-profile/v1` wall-clock phase breakdown to **stderr**
 //! (never stdout — wall time is nondeterministic and stays out of every
-//! deterministic artefact).
+//! deterministic artefact). On `analyze`, `partition` and `explore` it
+//! also times the front end: `minic.compile_to_ir`, `minic.cdfg`,
+//! `profiler.interp` and `profiler.analysis` (the span names perfbench
+//! reports).
 //!
 //! `--shards K` (default 1) partitions the tenants of `simulate` /
 //! `trace` across `K` independent platform replicas (application `i`
@@ -92,12 +95,12 @@ const USAGE: &str = "usage: amdrel <analyze|partition|sweep|explore|simulate|tra
 const SUBCOMMANDS: &[(&str, &str)] = &[
     (
         "analyze",
-        "amdrel analyze <src.c> [--input name=v,v,..]... [--top N]",
+        "amdrel analyze <src.c> [--input name=v,v,..]... [--top N] [--profile]",
     ),
     (
         "partition",
         "amdrel partition <src.c> --constraint N [--area A] [--cgcs K] \
-         [--input name=v,v,..]... [--skip-unprofitable]",
+         [--input name=v,v,..]... [--skip-unprofitable] [--profile]",
     ),
     (
         "sweep",
@@ -509,24 +512,33 @@ fn fault_config(opts: &Options) -> (FaultSpec, RecoveryPolicy) {
     (faults, recovery)
 }
 
-fn analyzed(opts: &Options) -> Result<(amdrel_minic::CompiledProgram, AnalysisReport), String> {
+/// Compile, profile and analyse the source, charging each stage to
+/// `profiler` under the span names perfbench uses.
+fn analyzed(
+    opts: &Options,
+    profiler: &Profiler,
+) -> Result<(amdrel_minic::CompiledProgram, AnalysisReport), String> {
     let source = std::fs::read_to_string(&opts.source_path)
         .map_err(|e| format!("{}: {e}", opts.source_path))?;
-    let program = compile(&source, "main").map_err(|e| e.to_string())?;
+    let ir = profiler
+        .time("minic.compile_to_ir", || {
+            amdrel_minic::compile_to_ir(&source, "main")
+        })
+        .map_err(|e| e.to_string())?;
+    let cdfg = profiler.time("minic.cdfg", || amdrel_minic::to_cdfg::program_to_cdfg(&ir));
+    debug_assert!(cdfg.validate().is_ok());
     let inputs: Vec<(&str, &[i64])> = opts
         .inputs
         .iter()
         .map(|(n, v)| (n.as_str(), v.as_slice()))
         .collect();
-    let execution = Interpreter::new(&program.ir)
-        .run(&inputs)
+    let execution = profiler
+        .time("profiler.interp", || Interpreter::new(&ir).run(&inputs))
         .map_err(|e| e.to_string())?;
-    let analysis = AnalysisReport::analyze(
-        &program.cdfg,
-        &execution.block_counts,
-        &WeightTable::paper(),
-    );
-    Ok((program, analysis))
+    let analysis = profiler.time("profiler.analysis", || {
+        AnalysisReport::analyze(&cdfg, &execution.block_counts, &WeightTable::paper())
+    });
+    Ok((amdrel_minic::CompiledProgram { ir, cdfg }, analysis))
 }
 
 /// Render a recorded event trace in the CLI's `--trace-format`.
@@ -571,7 +583,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let opts = parse_options(command, rest).map_err(|e| format!("{e}\nusage: {cmd_usage}"))?;
     match command.as_str() {
         "analyze" => {
-            let (program, analysis) = analyzed(&opts)?;
+            let profiler = Profiler::new();
+            let (program, analysis) = analyzed(&opts, &profiler)?;
             println!(
                 "{} basic blocks, {} operations",
                 program.cdfg.len(),
@@ -584,11 +597,18 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     opts.top
                 )
             );
+            if opts.profile {
+                eprintln!("{}", profiler.to_json());
+            }
             Ok(())
         }
         "partition" => {
             let constraint = opts.constraint.ok_or("partition needs --constraint")?;
-            let (program, analysis) = analyzed(&opts)?;
+            let profiler = Profiler::new();
+            let (program, analysis) = analyzed(&opts, &profiler)?;
+            if opts.profile {
+                eprintln!("{}", profiler.to_json());
+            }
             let platform = Platform::paper(opts.area, opts.cgcs);
             let cache = MappingCache::new();
             let result = PartitioningEngine::new(&program.cdfg, &analysis, &platform)
@@ -626,7 +646,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
         "sweep" => {
             let constraint = opts.constraint.ok_or("sweep needs --constraint")?;
-            let (program, analysis) = analyzed(&opts)?;
+            let (program, analysis) = analyzed(&opts, &Profiler::new())?;
             let datapaths: Vec<CgcDatapath> = opts
                 .cgc_list
                 .iter()
@@ -674,7 +694,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 );
             }
             let region = opts.region;
-            let (program, analysis) = analyzed(&opts)?;
+            let profiler = Profiler::new();
+            let (program, analysis) = analyzed(&opts, &profiler)?;
             let mut base = Platform::paper(opts.areas[0], opts.cgc_list[0]);
             if opts.reconfig.as_deref() == Some("free") {
                 base = base.with_reconfig(ReconfigModel::free());
@@ -761,7 +782,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 eval_budget: opts.budget,
                 jobs: opts.jobs,
             };
-            let profiler = Profiler::new();
             let report = profiler
                 .time("explore.search", || {
                     explore(&evaluator, &space, opts.strategy.as_ref(), &config)
@@ -902,7 +922,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         "dot" => {
-            let (program, _) = analyzed(&opts)?;
+            let (program, _) = analyzed(&opts, &Profiler::new())?;
             match opts.block {
                 Some(b) => {
                     let id = BlockId(b);

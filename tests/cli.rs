@@ -972,6 +972,45 @@ fn profile_prints_phase_json_to_stderr_only() {
 }
 
 #[test]
+fn analyze_and_partition_profile_the_front_end_on_stderr_only() {
+    let src = write_source("profile_fir.c", FIR);
+    let src = src.to_str().unwrap();
+    for args in [
+        vec!["analyze", src, "--top", "3"],
+        vec!["partition", src, "--constraint", "4000"],
+    ] {
+        let (ok, plain, _) = amdrel(&args);
+        assert!(ok, "{args:?}");
+        let mut profiled_args = args.clone();
+        profiled_args.push("--profile");
+        let (ok, stdout, stderr) = amdrel(&profiled_args);
+        assert!(ok, "stderr: {stderr}");
+        assert_eq!(stdout, plain, "--profile must leave stdout byte-identical");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 1, "{stderr}");
+        assert!(
+            lines[0].starts_with("{\"schema\":\"amdrel-profile/v1\",\"phases\":["),
+            "{stderr}"
+        );
+        let named: Vec<&str> = lines[0]
+            .split("\"name\":\"")
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap())
+            .collect();
+        assert_eq!(
+            named,
+            [
+                "minic.compile_to_ir",
+                "minic.cdfg",
+                "profiler.interp",
+                "profiler.analysis"
+            ],
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn shards_flag_is_documented_in_the_workload_section() {
     let (ok, stdout, stderr) = amdrel(&["simulate", "--help"]);
     assert!(ok, "stderr: {stderr}");

@@ -114,6 +114,10 @@ fn bench_engine_rows_are_the_expected_set() {
     assert_eq!(
         names,
         [
+            "profiler/interp_ofdm",
+            "profiler/interp_jpeg_256",
+            "profiler/interp_sobel_32",
+            "apps/jpeg_reference_256",
             "engine/run_ofdm_a1500_c2_warm",
             "engine/move_loop_8_blocks_warm",
             "engine/per_move_8_blocks_warm",
