@@ -61,8 +61,8 @@ fn inert_fault_spec_reproduces_the_committed_baseline() {
     ))
     .expect("committed BENCH_runtime.json");
     assert!(
-        bench.contains("\"schema\": \"amdrel-runtime-report/v5\""),
-        "baseline schema must be v4"
+        bench.contains("\"schema\": \"amdrel-runtime-report/v6\""),
+        "baseline schema must be v6"
     );
     let (platform, profiles) = mix();
     let jobs = baseline_stream(profiles);

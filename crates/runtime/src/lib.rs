@@ -19,7 +19,13 @@
 //!   [`amdrel_core::rng`]; [`WorkloadSpec::generate_streaming`] yields
 //!   the identical stream lazily for million-job runs;
 //! * [`SchedulePolicy`] — pluggable dispatch: [`Fcfs`],
-//!   [`ShortestJobFirst`], [`PriorityFirst`], [`ConfigAffinity`];
+//!   [`ShortestJobFirst`], [`PriorityFirst`], [`ConfigAffinity`], each
+//!   a static rank key plus a prefer-the-loaded-configuration flag. The
+//!   engine's fabric wait queue appends jobs that arrive in key order to
+//!   a sorted run and keeps the rest in a slab ordered by a binary heap
+//!   of compact `(rank, id, slot)` entries (one such lane per
+//!   configuration for affinity), so a dispatch costs O(log n) in the
+//!   queue depth and a deadline reap O(1), even under overload;
 //! * [`Simulation`] — the builder facade over the deterministic
 //!   discrete-event simulator (calendar-queue event core, events totally
 //!   ordered by `(time, sequence)`), with a configuration cache,
@@ -50,11 +56,12 @@
 //!   [`EXACT_THRESHOLD`] jobs;
 //! * [`RuntimeReport`] — per-app latency percentiles, CGC/FPGA
 //!   utilization, reconfiguration loads and stall cycles, rejection
-//!   counts, percentile provenance ([`LatencySource`]), reliability
+//!   counts, the fabric wait queue's peak depth, percentile
+//!   provenance ([`LatencySource`]), reliability
 //!   metrics ([`ReliabilityStats`]: injected/retried/degraded/aborted
 //!   counts, availability, goodput vs raw throughput, fault-conditioned
 //!   p95s) and calendar-queue internals ([`CalendarStats`]); renders as
-//!   a table or JSON (schema `amdrel-simulate/v5`, each counter in
+//!   a table or JSON (schema `amdrel-simulate/v6`, each counter in
 //!   exactly one report object);
 //! * **tracing** — [`Simulation::trace`] attaches an
 //!   [`amdrel_trace::TraceSink`] the engine emits per-job lifecycle

@@ -143,6 +143,9 @@ pub struct RuntimeReport {
     pub reconfig_stall_cycles: u64,
     /// Bitstream loads performed (prefetched loads included).
     pub reconfig_loads: u64,
+    /// The most jobs that waited for the fabric at once (the wait-queue
+    /// high-water mark; the worst shard's under sharding).
+    pub peak_queue_depth: u64,
     /// CGC slot-cycles spent on coarse phases (incl. communication).
     pub cgc_busy_cycles: u64,
     /// Median completion latency across *all* completed jobs.
@@ -350,12 +353,12 @@ impl RuntimeReport {
 }
 
 /// Render a [`RuntimeReport`] as deterministic JSON
-/// (schema `amdrel-simulate/v5`; the schema history is in
+/// (schema `amdrel-simulate/v6`; the schema history is in
 /// `docs/BENCHMARKS.md`). `queue_bound` keeps the v1 convention of `0`
 /// meaning unbounded.
 pub fn report_to_json(report: &RuntimeReport) -> String {
     document(|doc| {
-        doc.field("schema", "amdrel-simulate/v5");
+        doc.field("schema", "amdrel-simulate/v6");
         doc.field("policy", &report.policy);
         doc.object("config", Sep::Spaced, |o| {
             o.field("config_cache", report.config.config_cache);
@@ -379,6 +382,7 @@ pub fn report_to_json(report: &RuntimeReport) -> String {
             o.field("fpga_busy_cycles", report.fpga_busy_cycles);
             o.field("reconfig_stall_cycles", report.reconfig_stall_cycles);
             o.field("reconfig_loads", report.reconfig_loads);
+            o.field("peak_queue_depth", report.peak_queue_depth);
             o.field("fpga_utilization", Fixed(report.fpga_utilization(), 4));
             o.field("stall_share", Fixed(report.stall_share(), 4));
         });
@@ -481,6 +485,7 @@ mod tests {
             fpga_busy_cycles: 600,
             reconfig_stall_cycles: 200,
             reconfig_loads: 4,
+            peak_queue_depth: 3,
             cgc_busy_cycles: 500,
             p50_latency: 5,
             p95_latency: 5,
@@ -541,13 +546,14 @@ mod tests {
     fn json_and_table_shapes() {
         let r = toy_report();
         let json = report_to_json(&r);
-        assert!(json.contains("\"schema\": \"amdrel-simulate/v5\""));
+        assert!(json.contains("\"schema\": \"amdrel-simulate/v6\""));
         assert!(json.contains("\"apps\""));
         // Each counter is said once, in its report object: no `metrics`
         // copy of `queue` or `totals`.
         assert!(!json.contains("\"metrics\""));
         assert!(json.contains("\"queue\": {\"events\": 0,"));
         assert!(json.contains("\"makespan\": 1000,"));
+        assert!(json.contains("\"peak_queue_depth\": 3,"));
         assert!(json.contains("\"p95_latency\":5"));
         assert!(json.contains("\"latency_source\": \"exact\""));
         assert!(json.contains("\"queue_bound\": 0"), "None renders as 0");

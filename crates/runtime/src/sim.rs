@@ -39,6 +39,12 @@
 //! carried a smaller sequence number. The heap implementation is
 //! retained behind `#[cfg(test)]` as a differential oracle.
 //!
+//! Jobs waiting for the fabric sit in a `DispatchQueue` (see
+//! `policy.rs`) ordered by the policy's key, so each dispatch costs
+//! O(log n) in the queue depth and a deadline reaps its job in O(1) by
+//! the queue ticket its event carries. Under overload the queue holds
+//! most of the run; a per-dispatch scan would make the run quadratic.
+//!
 //! # Entry point
 //!
 //! [`Simulation`] is the builder facade every consumer routes through —
@@ -47,7 +53,7 @@
 
 use crate::calendar::{CalendarQueue, CalendarStats};
 use crate::fault::{permille_of, FaultSpec, RecoveryPolicy};
-use crate::policy::{Fcfs, SchedulePolicy};
+use crate::policy::{DispatchQueue, Fcfs, SchedulePolicy, Ticket};
 use crate::profile::{AppProfile, ConfigId};
 use crate::region::RegionPlan;
 use crate::report::{AppStats, ReliabilityStats, RuntimeReport};
@@ -126,8 +132,9 @@ enum Completion {
     SlotFault { task: CgcTask, slot: u32 },
     /// Failed CGC slot `slot` returns to the pool.
     SlotRepair { slot: u32 },
-    /// `job_id`'s deadline: reap it if it still waits for the fabric.
-    Deadline { job_id: u64 },
+    /// The deadline of the job `ticket` names: reap it if it still waits
+    /// for the fabric.
+    Deadline { ticket: Ticket },
 }
 
 /// Streaming run accounting: counters plus one [`LatencySketch`] per
@@ -158,6 +165,7 @@ pub(crate) struct Ledger {
     slot_downtime_cycles: u64,
     clean: LatencySketch,
     faulted: LatencySketch,
+    peak_queue_depth: u64,
 }
 
 impl Ledger {
@@ -184,6 +192,7 @@ impl Ledger {
             slot_downtime_cycles: 0,
             clean: LatencySketch::new(source),
             faulted: LatencySketch::new(source),
+            peak_queue_depth: 0,
         }
     }
 
@@ -239,6 +248,7 @@ impl Ledger {
         self.slot_downtime_cycles = self
             .slot_downtime_cycles
             .saturating_add(other.slot_downtime_cycles);
+        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
     }
 
     pub(crate) fn into_report(
@@ -271,6 +281,7 @@ impl Ledger {
             fpga_busy_cycles: self.fpga_busy_cycles,
             reconfig_stall_cycles: self.reconfig_stall_cycles,
             reconfig_loads: self.reconfig_loads,
+            peak_queue_depth: self.peak_queue_depth,
             cgc_busy_cycles: self.cgc_busy_cycles,
             p50_latency: self.total.percentile(50),
             p95_latency: self.total.percentile(95),
@@ -310,7 +321,7 @@ pub(crate) struct Engine<'a> {
     events: CalendarQueue<Completion>,
     next_seq: u64,
 
-    fpga_queue: Vec<Job>,
+    fpga_queue: DispatchQueue<'a>,
     fpga_busy: bool,
     loaded: Option<ConfigId>,
     /// Region-granular reconfiguration, when a partial plan is attached
@@ -350,7 +361,7 @@ impl<'a> Engine<'a> {
             recovery: sim.recovery,
             events: CalendarQueue::new(width_hint),
             next_seq: 0,
-            fpga_queue: Vec::new(),
+            fpga_queue: DispatchQueue::new(sim.policy),
             fpga_busy: false,
             loaded: None,
             region_plan,
@@ -426,11 +437,12 @@ impl<'a> Engine<'a> {
     }
 
     fn dispatch_fpga(&mut self, now: u64) {
-        if self.fpga_busy || self.fpga_queue.is_empty() {
+        if self.fpga_busy {
             return;
         }
-        let pick = self.policy.pick(&self.fpga_queue, self.loaded);
-        let job = self.fpga_queue.swap_remove(pick);
+        let Some(job) = self.fpga_queue.pop(self.loaded) else {
+            return;
+        };
         self.fpga_busy = true;
         self.start_fabric_attempt(job, 0, now);
     }
@@ -656,10 +668,10 @@ impl<'a> Engine<'a> {
             );
         } else {
             self.emit(TraceEvent::job_begin(job.arrival, job.id));
+            let ticket = self.fpga_queue.push(job);
             if let Some(reap) = self.faults.job_deadline(job.arrival) {
-                self.schedule(reap, Completion::Deadline { job_id: job.id });
+                self.schedule(reap, Completion::Deadline { ticket });
             }
-            self.fpga_queue.push(job);
             self.dispatch_fpga(job.arrival);
         }
     }
@@ -818,22 +830,22 @@ impl<'a> Engine<'a> {
                         self.emit(TraceEvent::instant(TrackId::CgcSlot(slot), now, "repair"));
                         self.dispatch_cgc(now);
                     }
-                    Completion::Deadline { job_id } => {
+                    Completion::Deadline { ticket } => {
                         // Only still-queued jobs are reaped; a dispatched
                         // job is committed and runs to completion.
-                        if let Some(pos) = self.fpga_queue.iter().position(|j| j.id == job_id) {
-                            self.fpga_queue.swap_remove(pos);
+                        if let Some(job) = self.fpga_queue.reap(ticket) {
                             self.ledger.deadline_misses += 1;
                             self.emit(
                                 TraceEvent::instant(TrackId::Scheduler, now, "deadline")
-                                    .with_job(job_id),
+                                    .with_job(job.id),
                             );
-                            self.emit(TraceEvent::job_end(now, job_id));
+                            self.emit(TraceEvent::job_end(now, job.id));
                         }
                     }
                 }
             }
         }
+        self.ledger.peak_queue_depth = self.fpga_queue.peak() as u64;
         let queue = self.events.stats();
         (self.ledger, queue)
     }
@@ -1127,10 +1139,12 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// The retained `BinaryHeap` event core, kept verbatim as the
-/// differential-testing oracle: every event (arrivals included) enters
-/// one heap ordered by `(time, seq)`. Accounting goes through the same
-/// [`Ledger`], so a report mismatch can only come from the event core.
+/// The retained `BinaryHeap` event core, kept as the differential-testing
+/// oracle: every event (arrivals included) enters one heap ordered by
+/// `(time, seq)`, and the fabric dispatches by a linear scan of a plain
+/// `Vec` wait queue — the reference for [`DispatchQueue`]. Accounting
+/// goes through the same [`Ledger`], so a report mismatch can only come
+/// from the event core or the wait queue.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -1186,8 +1200,21 @@ mod oracle {
             if self.fpga_busy || self.fpga_queue.is_empty() {
                 return;
             }
-            let pick = self.policy.pick(&self.fpga_queue, self.loaded);
-            let job = self.fpga_queue.swap_remove(pick);
+            // The dispatch reference: a linear scan for the smallest
+            // `(not loaded-and-preferred, rank, id)` key. `remove` keeps
+            // the queue in enqueue order and `min_by_key` returns the
+            // first minimum, so equal keys leave in enqueue order too.
+            let prefers_loaded = self.policy.prefers_loaded();
+            let (pick, _) = self
+                .fpga_queue
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, j)| {
+                    let preferred = prefers_loaded && self.loaded == Some(j.config);
+                    (!preferred, self.policy.rank(j), j.id)
+                })
+                .expect("the queue is non-empty");
+            let job = self.fpga_queue.remove(pick);
             let (loads, stall) = self.reconfig_charge(&job);
             if loads > 0 {
                 self.loaded = Some(job.config);
@@ -1224,6 +1251,10 @@ mod oracle {
                             self.ledger.rejected[job.app] += 1;
                         } else {
                             self.fpga_queue.push(job);
+                            self.ledger.peak_queue_depth = self
+                                .ledger
+                                .peak_queue_depth
+                                .max(self.fpga_queue.len() as u64);
                             self.dispatch_fpga(now);
                         }
                     }
@@ -1561,6 +1592,34 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+        // Deep queues: at 400% load the wait queue holds most of the run,
+        // so every dispatch chooses among thousands of jobs.
+        let spec = WorkloadSpec::uniform(2004, 2_400, &profiles, 400);
+        let jobs = spec.generate(&profiles);
+        for policy in policies {
+            for config in &configs[..2] {
+                let calendar = Simulation::new(&pf)
+                    .profiles(&profiles)
+                    .policy(policy)
+                    .config(*config)
+                    .run(&jobs);
+                assert!(
+                    calendar.peak_queue_depth >= 1_000,
+                    "policy {}: peak depth {} is not deep",
+                    policy.name(),
+                    calendar.peak_queue_depth
+                );
+                let mut heap =
+                    oracle::run_heap(&profiles, &jobs, &pf, policy, *config, SketchMode::Auto);
+                heap.queue = calendar.queue;
+                assert_eq!(
+                    calendar,
+                    heap,
+                    "deep-queue divergence: policy {}, config {config:?}",
+                    policy.name()
+                );
             }
         }
     }

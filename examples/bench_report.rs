@@ -16,9 +16,9 @@
 //! share, wall-clock simulation speed, one fault-injected reliability row
 //! for the recovery invariants, one floorplan row comparing
 //! region-granular partial reconfiguration against streamed full-fabric
-//! loads, and the million-job scaling and sharded rows), so the perf,
-//! search-efficiency and servable-workload trajectories can all be
-//! tracked and checked in CI. Each file's schema and regression
+//! loads, and the million-job scaling, overload and sharded rows), so
+//! the perf, search-efficiency and servable-workload trajectories can
+//! all be tracked and checked in CI. Each file's schema and regression
 //! signatures are documented in `docs/BENCHMARKS.md`.
 //!
 //! Run with: `cargo run --release --example bench_report`
@@ -305,6 +305,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scaling_jobs_per_sec = scaling_report.completed() as f64 * 1e9 / t.median;
     row("runtime/fcfs_1m_jobs_32_tenants", t);
 
+    // --- Overload: the same tenants and job count at 400% load, once per
+    //     policy. Half to four fifths of the jobs end up waiting at once, so
+    //     these rows time the ordered wait queue; CI holds each policy's
+    //     jobs/sec at >= 0.25x the 90%-load row above.
+    let overload_load = 400;
+    let overload_spec = WorkloadSpec::uniform(42, 1_000_000, &tenants, overload_load);
+    let mut overload_rows = Vec::new();
+    for name in ["fcfs", "sjf", "priority", "affinity"] {
+        let policy = policy_by_name(name).expect("built-in policy");
+        let run = scaling_sim.policy(policy.as_ref());
+        let (t, result) = sample(|| run.run_mix(&overload_spec));
+        row(&format!("runtime/{name}_1m_jobs_400_load"), t);
+        let jobs_per_sec = result.completed() as f64 * 1e9 / t.median;
+        overload_rows.push((result, jobs_per_sec));
+    }
+
     // --- Sharded timelines (`Simulation::shards`): the threaded run at
     //     1/2/4/8 shards on 100k jobs, then the million-job population
     //     split across 8 replicas and folded back with the deterministic
@@ -494,7 +510,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Emit BENCH_runtime.json: the servable-workload baseline on the
     //     seeded 3-app mix, per policy, plus the reliability, floorplan,
-    //     million-job scaling and sharded rows.
+    //     million-job scaling, overload and sharded rows.
     //
     // The reliability row: the same seeded 400-job mix played under FCFS
     // with the deterministic fault layer injecting on every channel at
@@ -521,13 +537,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fcfs_400_jobs_per_sec = runtime_rows[0].1;
     let throughput_ratio = scaling_jobs_per_sec / fcfs_400_jobs_per_sec;
     let scale_up = (scaling_spec.jobs as f64 / spec.jobs as f64) * throughput_ratio;
-    // The scaling and sharded rows share the workload description.
-    let scaling_workload = |o: &mut Json, report: &RuntimeReport| {
+    // The scaling, overload and sharded rows share the workload
+    // description.
+    let workload_fields = |o: &mut Json, spec: &WorkloadSpec, load: u64, report: &RuntimeReport| {
         o.field("tenants", tenants.len());
-        o.field("jobs", scaling_spec.jobs);
-        o.field("seed", scaling_spec.seed);
-        o.field("mean_interarrival", scaling_spec.mean_interarrival);
-        o.field("load_percent", 90u64);
+        o.field("jobs", spec.jobs);
+        o.field("seed", spec.seed);
+        o.field("mean_interarrival", spec.mean_interarrival);
+        o.field("load_percent", load);
         o.field("policy", &report.policy);
         o.field("completed", report.completed());
         o.field("rejected", report.rejected());
@@ -537,7 +554,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         o.field("latency_source", report.latency_source.as_str());
     };
     let json = document(|doc| {
-        doc.field("schema", "amdrel-runtime-report/v5");
+        doc.field("schema", "amdrel-runtime-report/v6");
         doc.object("workload", Sep::Spaced, |o| {
             o.field("seed", spec.seed);
             o.field("jobs", spec.jobs);
@@ -604,10 +621,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             o.field("worst_region_permille", frag.worst_region_permille());
         });
         doc.object("scaling", Sep::Spaced, |o| {
-            scaling_workload(o, &scaling_report);
+            workload_fields(o, &scaling_spec, 90, &scaling_report);
             o.field("sim_jobs_per_sec", Fixed(scaling_jobs_per_sec, 0));
             o.field("throughput_ratio", Fixed(throughput_ratio, 3));
             o.field("scale_up", Fixed(scale_up, 0));
+        });
+        // The overload rows: the scaling workload at 400% load, one per
+        // policy, with the wait queue's high-water mark.
+        doc.rows("overload", Sep::Spaced, |rows| {
+            for (r, jobs_per_sec) in &overload_rows {
+                rows.elem_object(|row| {
+                    workload_fields(row, &overload_spec, overload_load, r);
+                    row.field("peak_queue_depth", r.peak_queue_depth);
+                    row.field("sim_jobs_per_sec", Fixed(*jobs_per_sec, 0));
+                });
+            }
         });
         // The sharded row: the scaling workload under `--shards 8`.
         // `completed` / `rejected` / `latency_source` / `busy_cycles` are
@@ -619,7 +647,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // scaling row's rate.
         doc.object("sharded", Sep::Spaced, |o| {
             o.field("shards", shard_count);
-            scaling_workload(o, &sharded_report);
+            workload_fields(o, &scaling_spec, 90, &sharded_report);
             o.field(
                 "busy_cycles",
                 sharded_report.fpga_busy_cycles + sharded_report.cgc_busy_cycles,

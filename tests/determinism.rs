@@ -146,6 +146,10 @@ fn bench_engine_rows_are_the_expected_set() {
             "runtime/fcfs_40k_jobs_32_tenants",
             "runtime/fcfs_400k_jobs_32_tenants",
             "runtime/fcfs_1m_jobs_32_tenants",
+            "runtime/fcfs_1m_jobs_400_load",
+            "runtime/sjf_1m_jobs_400_load",
+            "runtime/priority_1m_jobs_400_load",
+            "runtime/affinity_1m_jobs_400_load",
             "runtime/fcfs_100k_jobs_1_shards",
             "runtime/fcfs_100k_jobs_2_shards",
             "runtime/fcfs_100k_jobs_4_shards",
@@ -175,7 +179,7 @@ fn bench_engine_rows_are_the_expected_set() {
 #[test]
 fn bench_runtime_policy_rows_replay_from_the_library() {
     let json = load("BENCH_runtime.json");
-    assert_eq!(str_field(&json, "schema"), "amdrel-runtime-report/v5");
+    assert_eq!(str_field(&json, "schema"), "amdrel-runtime-report/v6");
     let (platform, profiles, spec) = standard_setup();
     let workload = section(&json, "workload");
     assert_eq!(u64_field(workload, "seed"), spec.seed);
@@ -395,6 +399,58 @@ fn bench_runtime_scaling_and_sharded_rows_replay_from_the_library() {
         r.fpga_busy_cycles + r.cgc_busy_cycles,
         "sharding must conserve busy cycles"
     );
+}
+
+#[test]
+fn bench_runtime_overload_rows_replay_from_the_library() {
+    let json = load("BENCH_runtime.json");
+    let rows = objects_in(section(&json, "overload"));
+    assert_eq!(rows.len(), 4);
+    let platform = Platform::paper(1500, 2);
+    for row in rows {
+        let name = str_field(row, "policy");
+        let tenants = synthetic_tenants(u64_field(row, "tenants") as usize);
+        let spec = WorkloadSpec::uniform(
+            u64_field(row, "seed"),
+            u64_field(row, "jobs") as usize,
+            &tenants,
+            u64_field(row, "load_percent"),
+        );
+        assert_eq!(
+            u64_field(row, "mean_interarrival"),
+            spec.mean_interarrival,
+            "policy {name}"
+        );
+        let policy = policy_by_name(name).expect("committed policy exists");
+        let r = Simulation::new(&platform)
+            .profiles(&tenants)
+            .policy(policy.as_ref())
+            .sketch_mode(SketchMode::Sketched)
+            .run_mix(&spec);
+        assert_eq!(u64_field(row, "completed"), r.completed(), "policy {name}");
+        assert_eq!(u64_field(row, "rejected"), r.rejected(), "policy {name}");
+        assert_eq!(u64_field(row, "makespan"), r.makespan, "policy {name}");
+        assert_eq!(
+            u64_field(row, "p50_latency"),
+            r.p50_latency,
+            "policy {name}"
+        );
+        assert_eq!(
+            u64_field(row, "p95_latency"),
+            r.p95_latency,
+            "policy {name}"
+        );
+        assert_eq!(
+            str_field(row, "latency_source"),
+            r.latency_source.as_str(),
+            "policy {name}"
+        );
+        assert_eq!(
+            u64_field(row, "peak_queue_depth"),
+            r.peak_queue_depth,
+            "policy {name}"
+        );
+    }
 }
 
 /// Compile the OFDM case study once for both explore replays.
