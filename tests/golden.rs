@@ -1,4 +1,5 @@
-//! Golden bytes of every deterministic `--json` report.
+//! Golden bytes of every deterministic `--json` report, and of the
+//! text trace (timeline plus resource gantt).
 //!
 //! Each test runs the `amdrel` binary from `tests/golden/` (so the
 //! echoed source path is the stable `fir.c`) and compares stdout with
@@ -78,5 +79,30 @@ fn faulted_simulate_json_matches_golden() {
             "--json",
         ],
         "simulate_faulted.json",
+    );
+}
+
+#[test]
+fn text_trace_matches_golden() {
+    // Faults, retries, four regions and both CGC slots: every track kind
+    // and padding width of the timeline, plus the gantt rows.
+    assert_golden(
+        &[
+            "trace",
+            "--app",
+            "ofdm",
+            "--app",
+            "jpeg",
+            "--njobs",
+            "40",
+            "--fault-rate",
+            "30",
+            "--degrade",
+            "--regions",
+            "4",
+            "--trace-format",
+            "text",
+        ],
+        "trace_text.txt",
     );
 }
