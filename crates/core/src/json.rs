@@ -154,11 +154,14 @@ impl<'a> Json<'a> {
         }
     }
 
-    /// The separator between members and the one after a key.
-    fn punct(&self) -> (&'static str, &'static str) {
-        match self.sep {
-            Sep::Tight => (",", ":"),
-            Sep::Spaced => (", ", ": "),
+    /// Write the separator `,` (between members) or `:` (after a key),
+    /// plus a space when spaced. This runs for every member, so it
+    /// pushes `char`s, each an inline byte store, rather than a `&str`
+    /// picked at run time, which costs a copy call.
+    fn punct(&mut self, mark: char) {
+        self.out.push(mark);
+        if self.sep == Sep::Spaced {
+            self.out.push(' ');
         }
     }
 
@@ -169,7 +172,7 @@ impl<'a> Json<'a> {
                 self.out.push_str(if self.first { "\n" } else { ",\n" });
                 self.out.push_str(indent);
             }
-            None if !self.first => self.out.push_str(self.punct().0),
+            None if !self.first => self.punct(','),
             None => {}
         }
         self.first = false;
@@ -177,7 +180,7 @@ impl<'a> Json<'a> {
             self.out.push('"');
             self.out.push_str(key);
             self.out.push('"');
-            self.out.push_str(self.punct().1);
+            self.punct(':');
         }
     }
 

@@ -19,7 +19,7 @@
 //! * events are written in canonical `(time, seq)` order, so `ts` is
 //!   monotone within every track.
 
-use crate::{canonical_order, EventKind, TraceEvent, TrackId};
+use crate::{canonical, tracks, EventKind, TraceEvent, TrackId};
 use amdrel_core::json::{document, Json, Sep};
 
 /// Render `events` as Chrome trace-event JSON (`amdrel-trace/v1`).
@@ -28,10 +28,7 @@ use amdrel_core::json::{document, Json, Sep};
 /// fabric, CGC slots, regions) and named via `thread_name` metadata
 /// records, so the same scenario always yields the same bytes.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let sorted = canonical_order(events);
-    let mut tracks: Vec<TrackId> = sorted.iter().map(|e| e.track).collect();
-    tracks.sort();
-    tracks.dedup();
+    let tracks = tracks(events);
     let tid = |track: TrackId| -> usize {
         tracks
             .binary_search(&track)
@@ -47,7 +44,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                 metadata(rows, "thread_name", i, |a| a.field("name", track.label()));
                 metadata(rows, "thread_sort_index", i, |a| a.field("sort_index", i));
             }
-            for e in &sorted {
+            for e in canonical(events) {
                 rows.elem_object(|row| render_event(row, e, tid(e.track)));
             }
         });
@@ -55,7 +52,12 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 }
 
 /// Write one metadata (`ph: "M"`) record, its `args` filled by `args`.
-fn metadata(rows: &mut Json, name: &'static str, tid: usize, args: impl FnOnce(&mut Json)) {
+pub(crate) fn metadata(
+    rows: &mut Json,
+    name: &'static str,
+    tid: usize,
+    args: impl FnOnce(&mut Json),
+) {
     rows.elem_object(|m| {
         m.field("name", name);
         m.field("ph", "M");
@@ -65,7 +67,7 @@ fn metadata(rows: &mut Json, name: &'static str, tid: usize, args: impl FnOnce(&
     });
 }
 
-fn render_event(row: &mut Json, e: &TraceEvent, tid: usize) {
+pub(crate) fn render_event(row: &mut Json, e: &TraceEvent, tid: usize) {
     let (name, cat, ph) = match e.kind {
         EventKind::Span => (e.name, "sim", "X"),
         EventKind::Instant => (e.name, "sim", "i"),

@@ -7,7 +7,7 @@
 //! overlay a `!`. Scheduler-track bookkeeping (arrivals, dispositions)
 //! is omitted — this is the *resource* view.
 
-use crate::{canonical_order, EventKind, TraceEvent, TrackId};
+use crate::{canonical, tracks, EventKind, TraceEvent, TrackId};
 use std::fmt::Write as _;
 
 /// Render the resource rows of `events` bucketed into at most `width`
@@ -15,18 +15,12 @@ use std::fmt::Write as _;
 /// newline; an empty or scheduler-only trace renders a one-line notice.
 pub fn resource_gantt(events: &[TraceEvent], width: usize) -> String {
     let width = width.max(1);
-    let sorted = canonical_order(events);
-    let mut tracks: Vec<TrackId> = sorted
-        .iter()
-        .map(|e| e.track)
-        .filter(|t| *t != TrackId::Scheduler)
-        .collect();
-    tracks.sort();
-    tracks.dedup();
+    let mut tracks = tracks(events);
+    tracks.retain(|t| *t != TrackId::Scheduler);
     if tracks.is_empty() {
         return "resource gantt: no resource events\n".to_owned();
     }
-    let end = sorted
+    let end = events
         .iter()
         .map(|e| e.time + e.dur)
         .max()
@@ -37,7 +31,7 @@ pub fn resource_gantt(events: &[TraceEvent], width: usize) -> String {
 
     let mut rows: Vec<Vec<char>> = vec![vec!['.'; cols]; tracks.len()];
     let row_of = |track: TrackId| -> Option<usize> { tracks.binary_search(&track).ok() };
-    for e in &sorted {
+    for e in canonical(events) {
         let Some(row) = row_of(e.track) else { continue };
         match e.kind {
             EventKind::Span => {

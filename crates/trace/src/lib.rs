@@ -41,6 +41,8 @@
 
 mod chrome;
 mod gantt;
+#[cfg(test)]
+mod oracle;
 mod profile;
 mod text;
 
@@ -239,13 +241,32 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-/// Sort `events` into the canonical `(time, seq)` order every exporter
-/// renders in. The sort is stable and total (no two events share a
-/// `seq`), so the result is unique.
-pub fn canonical_order(events: &[TraceEvent]) -> Vec<TraceEvent> {
-    let mut sorted = events.to_vec();
-    sorted.sort_by_key(TraceEvent::key);
-    sorted
+/// `events` in the canonical `(time, seq)` order every exporter renders
+/// in, borrowed rather than copied: only the compact `(time, seq, index)`
+/// keys are sorted. The index makes every key unique, so the unstable
+/// sort yields exactly the order a stable sort by `(time, seq)` would —
+/// events sharing a key (say, unrecorded ones, all `seq` 0) keep their
+/// slice order.
+fn canonical(events: &[TraceEvent]) -> impl Iterator<Item = &TraceEvent> {
+    let mut keys: Vec<(u64, u64, usize)> = events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.time, e.seq, i))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(move |(_, _, i)| &events[i])
+}
+
+/// The distinct tracks of `events` in [`TrackId`] order, the exported
+/// track order.
+fn tracks(events: &[TraceEvent]) -> Vec<TrackId> {
+    let mut tracks = Vec::new();
+    for e in events {
+        if let Err(at) = tracks.binary_search(&e.track) {
+            tracks.insert(at, e.track);
+        }
+    }
+    tracks
 }
 
 #[cfg(test)]
@@ -262,8 +283,8 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].seq, events[1].seq), (0, 1));
         // Canonical order is by (time, seq), not emission order.
-        let sorted = canonical_order(&events);
-        assert_eq!(sorted[0].name, "arrive");
+        let sorted: Vec<&str> = canonical(&events).map(|e| e.name).collect();
+        assert_eq!(sorted, ["arrive", "fine"]);
         assert_eq!(buffer.take().len(), 2);
         assert!(buffer.is_empty());
     }

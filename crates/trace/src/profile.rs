@@ -129,11 +129,11 @@ mod tests {
     fn json_matches_golden_bytes() {
         let profiler = Profiler::new();
         profiler.record("sim.run", Duration::from_nanos(1_500));
-        profiler.record("trace.render", Duration::from_nanos(20));
+        profiler.record("trace.chrome", Duration::from_nanos(20));
         profiler.record("sim.run", Duration::from_nanos(500));
         assert_eq!(
             profiler.to_json(),
-            r#"{"schema":"amdrel-profile/v1","phases":[{"name":"sim.run","calls":2,"wall_ns":2000},{"name":"trace.render","calls":1,"wall_ns":20}]}"#
+            r#"{"schema":"amdrel-profile/v1","phases":[{"name":"sim.run","calls":2,"wall_ns":2000},{"name":"trace.chrome","calls":1,"wall_ns":20}]}"#
         );
         assert_eq!(
             Profiler::new().to_json(),

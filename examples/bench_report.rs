@@ -381,8 +381,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Tracing sink on the affinity run (the untraced run is
     //     runtime/affinity_400_jobs; CI holds traced below 2x of it),
-    //     the same with faults injected, and the Chrome export of the
-    //     fault-free trace.
+    //     the same with faults injected, and the Chrome and text (timeline
+    //     plus gantt, as the CLI renders it) exports of the fault-free trace.
     let traced_run = |run: &Simulation| {
         let sink = TraceBuffer::new();
         let report = run.trace(&sink).run(&sim_jobs);
@@ -393,9 +393,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faulted_sim = affinity_sim.faults(faults);
     let (t, _) = sample(|| traced_run(&faulted_sim));
     row("trace/traced_faulted_400_jobs", t);
-    let events = sink.events();
+    let events = sink.take();
     let (t, _) = sample(|| chrome_trace(&events));
     row("trace/chrome_export", t);
+    let (t, _) = sample(|| {
+        let mut text = text_timeline(&events);
+        text.push_str(&resource_gantt(&events, 72));
+        text
+    });
+    row("trace/text_export", t);
 
     // --- Emit BENCH_engine.json.
     let json = document(|doc| {

@@ -803,7 +803,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                         evaluator.trace_point(&space, best.point, &buffer)
                     })
                     .map_err(|e| e.to_string())?;
-                let rendered = render_trace(&buffer.events(), &opts.trace_format);
+                let rendered = render_trace(&buffer.take(), &opts.trace_format);
                 std::fs::write(path, rendered)
                     .map_err(|e| format!("writing trace to {path}: {e}"))?;
             }
@@ -879,9 +879,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
             let profiler = Profiler::new();
             let report = profiler.time("sim.run", || sim.run_mix(&spec));
             if tracing {
-                let events = buffer.events();
-                let rendered =
-                    profiler.time("trace.render", || render_trace(&events, &opts.trace_format));
+                let events = buffer.take();
+                // perfbench's layer names, so a slow render matches its row.
+                let phase = match opts.trace_format.as_str() {
+                    "text" => "trace.text",
+                    _ => "trace.chrome",
+                };
+                let rendered = profiler.time(phase, || render_trace(&events, &opts.trace_format));
                 match &opts.trace {
                     Some(path) => {
                         std::fs::write(path, rendered)

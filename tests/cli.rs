@@ -969,6 +969,28 @@ fn profile_prints_phase_json_to_stderr_only() {
         stdout.contains("\"schema\": \"amdrel-simulate/v6\""),
         "{stdout}"
     );
+    // The render phase carries perfbench's layer name for its format.
+    for (format, phase, other) in [
+        ("chrome", "trace.chrome", "trace.text"),
+        ("text", "trace.text", "trace.chrome"),
+    ] {
+        let args = [
+            "trace",
+            "--njobs",
+            "8",
+            "--trace-format",
+            format,
+            "--profile",
+        ];
+        let (ok, stdout, stderr) = amdrel(&args);
+        assert!(ok, "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("\"name\":\"{phase}\"")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains(other), "{stderr}");
+        assert!(!stdout.contains("amdrel-profile"), "{stdout}");
+    }
 }
 
 #[test]

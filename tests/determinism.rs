@@ -161,6 +161,7 @@ fn bench_engine_rows_are_the_expected_set() {
             "trace/traced_400_jobs",
             "trace/traced_faulted_400_jobs",
             "trace/chrome_export",
+            "trace/text_export",
         ],
         "the committed perf-row set drifted from bench_report"
     );
