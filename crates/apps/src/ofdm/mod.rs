@@ -36,7 +36,7 @@ pub fn design_space() -> amdrel_explore::DesignSpace {
 }
 
 /// Deterministic pseudo-random payload bits for 6 symbols.
-pub fn random_bits(seed: u64) -> Vec<i64> {
+fn random_bits(seed: u64) -> Vec<i64> {
     let mut rng = SplitMix64::new(seed);
     (0..PAYLOAD_BITS)
         .map(|_| (rng.next_u64() & 1) as i64)

@@ -24,7 +24,7 @@ pub const PROFILE_SEED: u64 = 2004;
 
 /// Reduced input sizes for the heavy encoders: profiles only need the
 /// per-job cost structure, not the paper's full-resolution runtime.
-pub const JPEG_RUNTIME_DIM: usize = 64;
+const JPEG_RUNTIME_DIM: usize = 64;
 /// Sobel frame edge length used for the runtime profile.
 pub const SOBEL_RUNTIME_DIM: usize = 32;
 
@@ -35,7 +35,7 @@ pub const SOBEL_RUNTIME_DIM: usize = 32;
 /// # Errors
 ///
 /// Compilation, profiling, mapping or partitioning failures.
-pub fn profile_workload(
+fn profile_workload(
     name: &str,
     priority: u8,
     workload: &Workload,
@@ -67,7 +67,7 @@ pub fn profile_workload(
 ///
 /// # Errors
 ///
-/// See [`profile_workload`].
+/// Compilation, profiling, mapping or partitioning failures.
 pub fn ofdm_profile(platform: &Platform) -> Result<AppProfile, Box<dyn std::error::Error>> {
     profile_workload(
         "ofdm",
@@ -78,12 +78,12 @@ pub fn ofdm_profile(platform: &Platform) -> Result<AppProfile, Box<dyn std::erro
     )
 }
 
-/// The JPEG encoder profile at [`JPEG_RUNTIME_DIM`]² (priority 0 —
+/// The JPEG encoder profile on a reduced 64×64 image (priority 0 —
 /// batch work).
 ///
 /// # Errors
 ///
-/// See [`profile_workload`].
+/// Compilation, profiling, mapping or partitioning failures.
 pub fn jpeg_profile(platform: &Platform) -> Result<AppProfile, Box<dyn std::error::Error>> {
     profile_workload(
         "jpeg",
@@ -99,7 +99,7 @@ pub fn jpeg_profile(platform: &Platform) -> Result<AppProfile, Box<dyn std::erro
 ///
 /// # Errors
 ///
-/// See [`profile_workload`].
+/// Compilation, profiling, mapping or partitioning failures.
 pub fn sobel_profile(platform: &Platform) -> Result<AppProfile, Box<dyn std::error::Error>> {
     profile_workload(
         "sobel",

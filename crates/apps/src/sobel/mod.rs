@@ -38,7 +38,7 @@ pub fn design_space(constraint: u64) -> amdrel_explore::DesignSpace {
 
 /// A deterministic image with structured edges: blocks of alternating
 /// intensity plus noise.
-pub fn test_image(dim: usize, seed: u64) -> Vec<i64> {
+fn test_image(dim: usize, seed: u64) -> Vec<i64> {
     let mut rng = SplitMix64::new(seed);
     let mut img = Vec::with_capacity(dim * dim);
     for y in 0..dim {

@@ -224,13 +224,6 @@ impl Dfg {
             .collect()
     }
 
-    /// Nodes with no successors.
-    pub fn sinks(&self) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&n| self.succs(n).is_empty())
-            .collect()
-    }
-
     /// A topological order of all nodes (Kahn's algorithm).
     ///
     /// # Errors
@@ -353,7 +346,6 @@ mod tests {
         assert_eq!(g.preds(d), &[b, c]);
         assert_eq!(g.succs(a), &[b, c]);
         assert_eq!(g.sources(), vec![a]);
-        assert_eq!(g.sinks(), vec![d]);
     }
 
     #[test]

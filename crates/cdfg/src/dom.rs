@@ -84,7 +84,7 @@ impl Dominators {
 
     /// The immediate dominator of `b`, or `None` for the entry block and
     /// unreachable blocks.
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+    fn idom(&self, b: BlockId) -> Option<BlockId> {
         self.idom.get(b.index()).copied().flatten()
     }
 

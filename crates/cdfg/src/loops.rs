@@ -56,12 +56,6 @@ impl LoopInfo {
     /// Panics if the CDFG is empty.
     pub fn analyze(cdfg: &Cdfg) -> Self {
         let dom = Dominators::compute(cdfg);
-        Self::analyze_with(cdfg, &dom)
-    }
-
-    /// Analyse with precomputed dominators (avoids recomputation when the
-    /// caller already has them).
-    pub fn analyze_with(cdfg: &Cdfg, dom: &Dominators) -> Self {
         // Collect back edges per header.
         let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new(); // (tail, header)
         for b in cdfg.block_ids() {
@@ -126,16 +120,6 @@ impl LoopInfo {
     pub fn depth(&self, b: BlockId) -> u32 {
         self.depth.get(b.index()).copied().unwrap_or(0)
     }
-
-    /// Whether `b` sits inside at least one loop.
-    pub fn in_loop(&self, b: BlockId) -> bool {
-        self.depth(b) > 0
-    }
-
-    /// The maximum nesting depth in the graph.
-    pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +151,7 @@ mod tests {
         assert!(!l.contains(entry) && !l.contains(exit));
         assert_eq!(li.depth(body), 1);
         assert_eq!(li.depth(entry), 0);
-        assert!(li.in_loop(head));
+        assert_eq!(li.depth(head), 1);
     }
 
     #[test]
@@ -197,7 +181,7 @@ mod tests {
         assert_eq!(li.depth(ob), 1);
         assert_eq!(li.depth(ob2), 1);
         assert_eq!(li.depth(exit), 0);
-        assert_eq!(li.max_depth(), 2);
+        assert_eq!(g.block_ids().map(|b| li.depth(b)).max(), Some(2));
     }
 
     #[test]
@@ -246,6 +230,6 @@ mod tests {
         g.add_edge(a, b).unwrap();
         let li = LoopInfo::analyze(&g);
         assert!(li.loops().is_empty());
-        assert_eq!(li.max_depth(), 0);
+        assert!(g.block_ids().all(|b| li.depth(b) == 0));
     }
 }

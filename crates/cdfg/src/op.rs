@@ -181,17 +181,9 @@ impl OpKind {
         self.class() == OpClass::Mem
     }
 
-    /// Whether this is a comparison producing a 1-bit result.
-    pub fn is_cmp(self) -> bool {
-        matches!(
-            self,
-            OpKind::Lt | OpKind::Le | OpKind::Gt | OpKind::Ge | OpKind::Eq | OpKind::Ne
-        )
-    }
-
     /// Short lower-case mnemonic, stable across versions (used in DOT dumps
     /// and reports).
-    pub fn mnemonic(self) -> &'static str {
+    fn mnemonic(self) -> &'static str {
         match self {
             OpKind::Add => "add",
             OpKind::Sub => "sub",
@@ -251,7 +243,14 @@ mod tests {
 
     #[test]
     fn comparisons_are_alu() {
-        for kind in OpKind::ALL.into_iter().filter(|k| k.is_cmp()) {
+        for kind in [
+            OpKind::Lt,
+            OpKind::Le,
+            OpKind::Gt,
+            OpKind::Ge,
+            OpKind::Eq,
+            OpKind::Ne,
+        ] {
             assert_eq!(kind.class(), OpClass::Alu);
         }
     }

@@ -31,13 +31,6 @@ pub struct BindingReport {
     pub peak_registers: u64,
 }
 
-impl BindingReport {
-    /// Whether the peak register demand fits the datapath's register bank.
-    pub fn fits_register_bank(&self, datapath: &CgcDatapath) -> bool {
-        self.peak_registers <= u64::from(datapath.register_bank)
-    }
-}
-
 /// Validate `schedule` against `datapath` and derive the binding report.
 ///
 /// Checks per-cycle slot/port capacity, chain well-formedness (each

@@ -34,7 +34,7 @@ pub struct OpEnergyTable {
 
 impl OpEnergyTable {
     /// Energy of one operation of `class`; boundary pseudo-ops are free.
-    pub fn class_energy(&self, class: OpClass) -> u64 {
+    fn class_energy(&self, class: OpClass) -> u64 {
         match class {
             OpClass::Alu => self.alu,
             OpClass::Mul => self.mul,
@@ -62,7 +62,7 @@ impl EnergyModel {
     /// Default characterisation: CGC word-level ops ~8× cheaper than the
     /// LUT fabric, expensive bitstream loads, SRAM-access-scale
     /// shared-memory words.
-    pub fn asic_vs_lut() -> Self {
+    fn asic_vs_lut() -> Self {
         EnergyModel {
             fpga: OpEnergyTable {
                 alu: 8,

@@ -209,7 +209,7 @@ impl<'a> Json<'a> {
     }
 
     /// Write one array element.
-    pub fn elem(&mut self, value: impl Value) {
+    fn elem(&mut self, value: impl Value) {
         self.member(None);
         value.write_json(self.out);
     }

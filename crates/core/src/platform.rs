@@ -34,7 +34,7 @@ pub struct CommModel {
 
 impl CommModel {
     /// The default shared-memory cost model.
-    pub fn shared_memory() -> Self {
+    fn shared_memory() -> Self {
         CommModel {
             cycles_per_word: 1,
             setup_cycles: 2,
@@ -108,11 +108,6 @@ impl ReconfigModel {
     /// FPGA cycles to load one temporal partition of `area` units.
     pub fn load_cycles(&self, area: u64) -> u64 {
         self.base_cycles + area.saturating_mul(self.cycles_per_area)
-    }
-
-    /// Whether every load is free (the [`ReconfigModel::free`] ablation).
-    pub fn is_free(&self) -> bool {
-        self.base_cycles == 0 && self.cycles_per_area == 0
     }
 }
 
@@ -199,12 +194,6 @@ impl Platform {
         self
     }
 
-    /// Builder-style override of the scheduler configuration.
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Builder-style override of the runtime reconfiguration model.
     pub fn with_reconfig(mut self, reconfig: ReconfigModel) -> Self {
         self.reconfig = reconfig;
@@ -256,9 +245,7 @@ mod tests {
         let m = ReconfigModel::streamed();
         assert_eq!(m.load_cycles(0), 100);
         assert_eq!(m.load_cycles(1050), 1150);
-        assert!(!m.is_free());
         assert_eq!(ReconfigModel::free().load_cycles(u64::MAX), 0);
-        assert!(ReconfigModel::free().is_free());
     }
 
     #[test]

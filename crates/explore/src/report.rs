@@ -84,7 +84,7 @@ impl ExploreReport {
 
     /// `true` if the frontier carries contention metrics (a runtime
     /// objective was selected).
-    pub fn has_contention(&self) -> bool {
+    fn has_contention(&self) -> bool {
         self.frontier.iter().any(|p| p.contention.is_some())
     }
 

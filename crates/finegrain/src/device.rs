@@ -35,7 +35,7 @@ pub struct AreaLibrary {
 
 impl AreaLibrary {
     /// Default characterisation (see type-level docs).
-    pub fn virtex_like() -> Self {
+    fn virtex_like() -> Self {
         AreaLibrary {
             alu: 180,
             mul: 720,

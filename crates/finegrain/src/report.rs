@@ -2,7 +2,6 @@
 //! plan the fine-grain mapper would hand to configuration generation.
 
 use crate::mapping::FineGrainMapping;
-use crate::temporal::TemporalPartitioning;
 use amdrel_cdfg::Dfg;
 use std::fmt::Write as _;
 
@@ -61,15 +60,6 @@ pub fn partition_table(dfg: &Dfg, mapping: &FineGrainMapping) -> String {
     out
 }
 
-/// One-line summary per partition for CDFG-wide overviews.
-pub fn partition_summary(tp: &TemporalPartitioning) -> String {
-    let mut out = String::new();
-    for p in tp.partitions() {
-        let _ = write!(out, "[p{} {}n/{}a] ", p.index, p.nodes.len(), p.area);
-    }
-    out.trim_end().to_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,18 +92,5 @@ mod tests {
         for n in dfg.node_ids() {
             assert!(table.contains(&format!("{n}:add")), "{n} missing");
         }
-    }
-
-    #[test]
-    fn summary_is_compact() {
-        let mut dfg = Dfg::new("k");
-        for _ in 0..50 {
-            dfg.add_op(OpKind::Add, 32);
-        }
-        let mapping = map_dfg(&dfg, &test_device(1500)).unwrap();
-        let s = partition_summary(&mapping.partitioning);
-        assert!(s.starts_with("[p1 "));
-        assert!(s.contains("[p2 "));
-        assert!(!s.ends_with(' '));
     }
 }

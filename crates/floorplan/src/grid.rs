@@ -76,11 +76,6 @@ impl Region {
         self.width * self.height
     }
 
-    /// `true` if this region overlaps the rectangle `[x, x+w) × [y, y+h)`.
-    pub fn overlaps(&self, x: u64, y: u64, w: u64, h: u64) -> bool {
-        self.x < x + w && x < self.x + self.width && self.y < y + h && y < self.y + self.height
-    }
-
     /// Cells of this region covered by the rectangle `[x, x+w) × [y, y+h)`.
     pub fn overlap_area(&self, x: u64, y: u64, w: u64, h: u64) -> u64 {
         let ox = (self.x + self.width)
@@ -197,15 +192,6 @@ impl FabricGrid {
         })
     }
 
-    /// [`FabricGrid::uniform`] over a device's routable area.
-    ///
-    /// # Panics
-    ///
-    /// As [`FabricGrid::uniform`].
-    pub fn for_device(device: &FpgaDevice, regions: usize) -> FabricGrid {
-        FabricGrid::uniform(device.usable_area(), regions)
-    }
-
     /// Grid width in cells.
     pub fn width(&self) -> u64 {
         self.width
@@ -253,16 +239,6 @@ impl FabricGrid {
     /// Panics if `index` is out of range.
     pub fn region(&self, index: usize) -> &Region {
         &self.regions[index]
-    }
-
-    /// Indices of the regions overlapping `[x, x+w) × [y, y+h)`,
-    /// ascending.
-    pub fn regions_touching(&self, x: u64, y: u64, w: u64, h: u64) -> Vec<usize> {
-        self.regions
-            .iter()
-            .filter(|r| r.overlaps(x, y, w, h))
-            .map(|r| r.index)
-            .collect()
     }
 
     /// The placement-aware extension of
@@ -361,19 +337,22 @@ mod tests {
     #[test]
     fn regions_touching_reports_overlaps() {
         let grid = FabricGrid::uniform(1050, 4); // 33x32, bands of height 8
-        assert_eq!(grid.regions_touching(0, 0, 5, 5), [0]);
-        assert_eq!(grid.regions_touching(0, 6, 5, 5), [0, 1]);
-        assert_eq!(grid.regions_touching(0, 0, 33, 32), [0, 1, 2, 3]);
-        assert!(grid.regions_touching(0, 32, 5, 5).is_empty());
-        let r = grid.region(1);
-        assert_eq!(r.overlap_area(0, 6, 5, 5), 5 * 3);
-        assert_eq!(r.overlap_area(0, 0, 5, 5), 0);
+        let covered = |x, y, w, h| -> Vec<u64> {
+            grid.regions()
+                .iter()
+                .map(|r| r.overlap_area(x, y, w, h))
+                .collect()
+        };
+        assert_eq!(covered(0, 0, 5, 5), [25, 0, 0, 0]);
+        assert_eq!(covered(0, 6, 5, 5), [5 * 2, 5 * 3, 0, 0]);
+        assert_eq!(covered(0, 0, 33, 32), [33 * 8; 4]);
+        assert_eq!(covered(0, 32, 5, 5), [0; 4]);
     }
 
     #[test]
     fn config_key_tracks_device_and_geometry() {
         let dev = FpgaDevice::new(1500);
-        let grid = FabricGrid::for_device(&dev, 4);
+        let grid = FabricGrid::uniform(dev.usable_area(), 4);
         assert_eq!(
             grid.config_key(&dev),
             FabricGrid::uniform(1050, 4).config_key(&dev)

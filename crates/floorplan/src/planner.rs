@@ -167,13 +167,9 @@ impl Placement {
         &self.failed
     }
 
-    /// Cells of region `r` claimed by placed rectangles plus logical
-    /// areas assigned on fallback (may exceed the region's area then).
-    pub fn region_load(&self, r: usize) -> u64 {
-        self.region_used[r]
-    }
-
-    /// Per-region loads, indexed like the grid's regions.
+    /// Per-region loads, indexed like the grid's regions: the cells each
+    /// region's placed rectangles claim plus the logical areas assigned
+    /// to it on fallback (may exceed the region's area then).
     pub fn region_loads(&self) -> &[u64] {
         &self.region_used
     }
@@ -526,7 +522,7 @@ mod tests {
         let p = place(&grid, &[(0, 25), (0, 25), (0, 25), (0, 25)]);
         assert!(p.failures().is_empty());
         assert_eq!(p.placed_cells(), 100);
-        assert_eq!(p.region_load(0), 100);
+        assert_eq!(p.region_loads(), [100]);
         assert_eq!(p.touched_regions(0), &[0]);
         assert_eq!(p.stats().worst_region_permille(), 1000);
         assert_eq!(p.stats().internal_permille(), 0);

@@ -4,9 +4,9 @@
 //! occasional dead temporary. The paper counts basic blocks the way a
 //! compiler's final CFG counts them (18 BBs for the OFDM transmitter, 22
 //! for the JPEG encoder), and its static analysis counts the operations
-//! real hardware would execute — so the flow runs [`simplify_cfg`] and
-//! [`eliminate_dead_code`] before profiling/partitioning to get honest
-//! block granularity and honest operation counts.
+//! real hardware would execute — so the flow runs [`optimize`] (CFG
+//! simplification and dead-code elimination) before profiling/partitioning
+//! to get honest block granularity and honest operation counts.
 
 use crate::ir::{BlockIdx, Function, Instr, Terminator};
 use crate::liveness::Liveness;
@@ -169,7 +169,7 @@ fn merge_chains(f: &mut Function) -> bool {
 ///
 /// Returns the number of instructions removed. Run to a fixpoint by the
 /// caller ([`optimize`]) — removing one instruction can kill another.
-pub fn eliminate_dead_code(f: &mut Function) -> usize {
+fn eliminate_dead_code(f: &mut Function) -> usize {
     let liveness = Liveness::compute(f);
     let mut removed = 0;
     for (bi, block) in f.blocks.iter_mut().enumerate() {

@@ -106,12 +106,6 @@ impl AnalysisReport {
             .collect()
     }
 
-    /// Total dynamic weight over all blocks (a proxy for whole-application
-    /// work).
-    pub fn total_dynamic_weight(&self) -> u64 {
-        self.blocks.iter().map(|b| b.total_weight).sum()
-    }
-
     /// Render the paper's Table 1 ("Ordered total weights of basic
     /// blocks") for this application: block number, execution frequency,
     /// operations weight, total weight.

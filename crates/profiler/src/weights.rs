@@ -34,7 +34,7 @@ impl WeightTable {
     }
 
     /// The weight of one operation class. Boundary pseudo-ops weigh 0.
-    pub fn class_weight(&self, class: OpClass) -> u64 {
+    fn class_weight(&self, class: OpClass) -> u64 {
         match class {
             OpClass::Alu => self.alu,
             OpClass::Mul => self.mul,

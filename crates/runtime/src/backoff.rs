@@ -61,12 +61,6 @@ impl BackoffSchedule {
         };
         doubled.min(self.cap_cycles)
     }
-
-    /// Total delay of retries `0..attempts` (saturating) — what a job
-    /// that exhausts `attempts` retries spends waiting in aggregate.
-    pub fn total_delay(&self, attempts: u32) -> u64 {
-        (0..attempts).fold(0u64, |acc, a| acc.saturating_add(self.delay(a)))
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +111,6 @@ mod tests {
         for a in [0, 1, 63, 64, u32::MAX] {
             assert_eq!(b.delay(a), 0);
         }
-        assert_eq!(b.total_delay(10), 0);
     }
 
     #[test]
@@ -147,22 +140,6 @@ mod tests {
         };
         assert_eq!(one.delay(63), 1u64 << 63);
         assert_eq!(one.delay(64), u64::MAX);
-    }
-
-    #[test]
-    fn total_delay_sums_the_schedule() {
-        let b = BackoffSchedule {
-            base_cycles: 100,
-            cap_cycles: 1_000,
-        };
-        assert_eq!(b.total_delay(0), 0);
-        assert_eq!(b.total_delay(1), 100);
-        assert_eq!(b.total_delay(5), 100 + 200 + 400 + 800 + 1_000);
-        let max = BackoffSchedule {
-            base_cycles: u64::MAX,
-            cap_cycles: u64::MAX,
-        };
-        assert_eq!(max.total_delay(3), u64::MAX, "sum saturates");
     }
 
     #[test]

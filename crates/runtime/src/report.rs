@@ -11,17 +11,6 @@ use amdrel_core::json::{document, Fixed, Sep};
 use std::fmt::Write as _;
 use std::num::{NonZeroU64, NonZeroUsize};
 
-/// Nearest-rank percentile of a latency sample (`q` in percent).
-/// Returns 0 for an empty sample.
-fn percentile(sorted: &[u64], q: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (q * n).div_ceil(100).clamp(1, n);
-    sorted[(rank - 1) as usize]
-}
-
 /// Per-application outcome counters and latency percentiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppStats {
@@ -42,30 +31,9 @@ pub struct AppStats {
 }
 
 impl AppStats {
-    /// Build the stats from raw completion latencies (consumed; order
-    /// irrelevant).
-    pub fn from_latencies(
-        name: &str,
-        arrived: u64,
-        completed: u64,
-        rejected: u64,
-        mut latencies: Vec<u64>,
-    ) -> Self {
-        latencies.sort_unstable();
-        AppStats {
-            name: name.to_owned(),
-            arrived,
-            completed,
-            rejected,
-            p50_latency: percentile(&latencies, 50),
-            p95_latency: percentile(&latencies, 95),
-            max_latency: latencies.last().copied().unwrap_or(0),
-        }
-    }
-
     /// Build the stats from a streaming [`LatencySketch`] (what the
-    /// simulator records into). With an exact-representation sketch this
-    /// is identical to [`AppStats::from_latencies`] on the same sample.
+    /// simulator records into). With an exact-representation sketch the
+    /// percentiles are the nearest-rank values of the recorded sample.
     pub fn from_sketch(
         name: &str,
         arrived: u64,
@@ -185,12 +153,6 @@ impl RuntimeReport {
     /// Total jobs rejected by the admission bound.
     pub fn rejected(&self) -> u64 {
         self.apps.iter().map(|a| a.rejected).sum()
-    }
-
-    /// Worst per-application 95th-percentile latency (the fairness
-    /// counterpart to the aggregate [`RuntimeReport::p95_latency`]).
-    pub fn worst_p95_latency(&self) -> u64 {
-        self.apps.iter().map(|a| a.p95_latency).max().unwrap_or(0)
     }
 
     /// Fraction of the makespan the fabric was occupied (executing or
@@ -458,20 +420,26 @@ pub fn report_to_json(report: &RuntimeReport) -> String {
 mod tests {
     use super::*;
 
+    fn exact_sketch(sample: &[u64]) -> LatencySketch {
+        let mut sketch = LatencySketch::new(LatencySource::Exact);
+        sample.iter().for_each(|&v| sketch.record(v));
+        sketch
+    }
+
     #[test]
     fn percentile_nearest_rank() {
-        let s = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile(&s, 50), 50);
-        assert_eq!(percentile(&s, 95), 100);
-        assert_eq!(percentile(&s, 100), 100);
-        assert_eq!(percentile(&s, 1), 10);
-        assert_eq!(percentile(&[], 95), 0);
-        assert_eq!(percentile(&[7], 50), 7);
+        let s = exact_sketch(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
+        assert_eq!(s.percentile(50), 50);
+        assert_eq!(s.percentile(95), 100);
+        assert_eq!(s.percentile(100), 100);
+        assert_eq!(s.percentile(1), 10);
+        assert_eq!(exact_sketch(&[]).percentile(95), 0);
+        assert_eq!(exact_sketch(&[7]).percentile(50), 7);
     }
 
     #[test]
     fn app_stats_sort_before_ranking() {
-        let a = AppStats::from_latencies("x", 5, 3, 2, vec![30, 10, 20]);
+        let a = AppStats::from_sketch("x", 5, 3, 2, &exact_sketch(&[30, 10, 20]));
         assert_eq!(a.p50_latency, 20);
         assert_eq!(a.max_latency, 30);
     }
@@ -494,7 +462,7 @@ mod tests {
             recovery: RecoveryPolicy::default(),
             queue: CalendarStats::default(),
             reliability: ReliabilityStats::default(),
-            apps: vec![AppStats::from_latencies("a", 10, 8, 2, vec![5; 8])],
+            apps: vec![AppStats::from_sketch("a", 10, 8, 2, &exact_sketch(&[5; 8]))],
         }
     }
 
@@ -505,7 +473,6 @@ mod tests {
         assert!((r.cgc_utilization() - 0.25).abs() < 1e-12);
         assert!((r.stall_share() - 0.25).abs() < 1e-12);
         assert!((r.jobs_per_mcycle() - 8_000.0).abs() < 1e-9);
-        assert_eq!(r.worst_p95_latency(), 5);
     }
 
     #[test]
@@ -580,12 +547,20 @@ mod tests {
 
     #[test]
     fn sketch_backed_stats_match_buffered_stats_exactly() {
-        let sample = vec![40u64, 10, 77, 3, 3, 99, 18];
-        let mut sketch = LatencySketch::new(LatencySource::Exact);
-        sample.iter().for_each(|&v| sketch.record(v));
+        // Sorted: 3 3 10 18 40 77 99. Nearest rank: p50 is the 4th, p95
+        // the 7th.
+        let sketch = exact_sketch(&[40, 10, 77, 3, 3, 99, 18]);
         assert_eq!(
             AppStats::from_sketch("x", 9, 7, 2, &sketch),
-            AppStats::from_latencies("x", 9, 7, 2, sample)
+            AppStats {
+                name: "x".to_owned(),
+                arrived: 9,
+                completed: 7,
+                rejected: 2,
+                p50_latency: 18,
+                p95_latency: 99,
+                max_latency: 99,
+            }
         );
     }
 }

@@ -12,9 +12,8 @@
 //! rejected: both interpolate in floating point, which would break the
 //! workspace's bit-identical-replay contract. The histogram uses integer
 //! arithmetic only, is a pure function of the recorded *multiset* (merge
-//! and insertion order never change a query), and needs at most
-//! [`LatencySketch::MAX_BUCKETS`] counters regardless of how many values
-//! are recorded.
+//! and insertion order never change a query), and needs at most 7,424
+//! counters regardless of how many values are recorded.
 //!
 //! Below [`EXACT_THRESHOLD`] recorded values the sketch keeps the exact
 //! sample instead ([`SketchMode::Auto`]), so small runs — including the
@@ -125,10 +124,6 @@ pub struct LatencySketch {
 }
 
 impl LatencySketch {
-    /// Upper bound on histogram counters: 64 magnitudes × `2^SUB_BITS`
-    /// sub-buckets (the first magnitude's buckets are exact values).
-    pub const MAX_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
-
     /// An empty sketch for the given representation.
     pub fn new(source: LatencySource) -> Self {
         LatencySketch {
@@ -252,8 +247,7 @@ impl LatencySketch {
     }
 
     /// Counters currently allocated (exact: sample length; sketched:
-    /// bucket count, bounded by [`Self::MAX_BUCKETS`] independent of the
-    /// recorded count).
+    /// bucket count, at most 7,424 independent of the recorded count).
     pub fn allocated(&self) -> usize {
         match &self.repr {
             Repr::Exact(sample) => sample.len(),
@@ -293,6 +287,11 @@ fn bucket_high(idx: usize) -> u64 {
 mod tests {
     use super::*;
 
+    /// Upper bound on histogram counters: `2^SUB_BITS` exact buckets for
+    /// the values below `2^SUB_BITS`, then `2^SUB_BITS` sub-buckets for
+    /// each of the `64 - SUB_BITS` higher magnitudes.
+    const MAX_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
+
     fn exact_nearest_rank(mut sample: Vec<u64>, q: u64) -> u64 {
         sample.sort_unstable();
         let n = sample.len() as u64;
@@ -311,10 +310,13 @@ mod tests {
                 high - v <= v >> SUB_BITS,
                 "bucket of {v} overshoots to {high}"
             );
-            assert!(idx < LatencySketch::MAX_BUCKETS);
+            assert!(idx < MAX_BUCKETS);
         }
         // Small values are exact.
         assert_eq!(bucket_high(bucket_index(97)), 97);
+        // The bound the module docs state.
+        assert_eq!(MAX_BUCKETS, 7_424);
+        assert_eq!(bucket_index(u64::MAX), MAX_BUCKETS - 1);
     }
 
     #[test]
@@ -347,7 +349,7 @@ mod tests {
                 "p{q}: {approx} overshoots exact {exact}"
             );
         }
-        assert!(sketch.allocated() <= LatencySketch::MAX_BUCKETS);
+        assert!(sketch.allocated() <= MAX_BUCKETS);
     }
 
     #[test]
@@ -417,6 +419,6 @@ mod tests {
             s.record(i * 7919 % 1_000_003);
         }
         assert_eq!(s.count(), 200_000);
-        assert!(s.allocated() <= LatencySketch::MAX_BUCKETS);
+        assert!(s.allocated() <= MAX_BUCKETS);
     }
 }

@@ -22,7 +22,7 @@ pub fn resource_gantt(events: &[TraceEvent], width: usize) -> String {
     }
     let end = events
         .iter()
-        .map(|e| e.time + e.dur)
+        .map(|e| e.time.saturating_add(e.dur))
         .max()
         .unwrap_or(0)
         .max(1);
@@ -41,7 +41,7 @@ pub fn resource_gantt(events: &[TraceEvent], width: usize) -> String {
                     .next()
                     .map_or('#', |c| c.to_ascii_uppercase());
                 let first = (e.time / per_col) as usize;
-                let last = ((e.time + e.dur.max(1) - 1) / per_col) as usize;
+                let last = (e.time.saturating_add(e.dur.max(1) - 1) / per_col) as usize;
                 for cell in &mut rows[row][first..=last.min(cols - 1)] {
                     *cell = mark;
                 }
@@ -95,6 +95,15 @@ mod tests {
         let cgc = lines.iter().find(|l| l.starts_with("cgc0")).unwrap();
         assert!(cgc.contains('C') && cgc.contains('.'));
         assert!(!gantt.contains("scheduler"), "scheduler track is omitted");
+    }
+
+    #[test]
+    fn a_span_ending_past_u64_max_saturates_into_the_last_column() {
+        let events = [TraceEvent::span(TrackId::Fabric, u64::MAX - 2, 5, "fine")];
+        let gantt = resource_gantt(&events, 10);
+        assert!(gantt.contains(&format!("end = {}", u64::MAX)), "{gantt}");
+        let fabric = gantt.lines().find(|l| l.starts_with("fabric")).unwrap();
+        assert!(fabric.ends_with(".F|"), "{gantt}");
     }
 
     #[test]

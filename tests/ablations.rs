@@ -189,3 +189,44 @@ fn figure3_needs_no_more_partitions_on_the_larger_device() {
         );
     }
 }
+
+/// The area sweep has no all-FPGA crossover under the paper's
+/// reconfiguration policy: OFDM on three 2×2 CGCs never meets its
+/// 60,000-cycle constraint without partitioning, however large the FPGA.
+/// Once every block fits one temporal partition (from A=40,000 on), the
+/// initial cycles stop falling. The floor is eq. (4)'s per-execution
+/// reload, `n_parts × reconfig_cycles` in `finegrain::mapping::map_dfg`
+/// with `n_parts = 1`: every block execution still pays one full load,
+/// 87,660 of the plateau's 111,098 cycles and more than the whole budget.
+#[test]
+fn ofdm_all_fpga_never_meets_the_constraint_under_per_execution_reconfig() {
+    let constraint = paper::OFDM_CONSTRAINT;
+    assert_eq!(constraint, 60_000);
+    for area in [
+        1200u64, 1500, 2500, 5000, 10_000, 20_000, 40_000, 80_000, 160_000,
+    ] {
+        let mut platform = Platform::paper(area, 3);
+        platform.fpga.reconfig_policy = ReconfigPolicy::PerExecution;
+        let result = run(ofdm(), &platform, constraint);
+        assert!(
+            !result.met_without_partitioning,
+            "A={area}: all-FPGA mapping met {constraint} ({} cycles)",
+            result.initial_cycles
+        );
+        if area >= 40_000 {
+            assert_eq!(result.initial_cycles, 111_098, "A={area}: off the plateau");
+        }
+    }
+}
+
+/// The crossover the paper's policy lacks appears once single-partition
+/// blocks keep their bitstream resident: at A=5000 the all-FPGA mapping
+/// already meets OFDM's constraint, so the flow exits at step 2.
+#[test]
+fn ofdm_all_fpga_meets_the_constraint_at_a_5000_with_resident_configs() {
+    let mut platform = Platform::paper(5000, 3);
+    platform.fpga.reconfig_policy = ReconfigPolicy::Resident;
+    let result = run(ofdm(), &platform, paper::OFDM_CONSTRAINT);
+    assert!(result.met_without_partitioning);
+    assert_eq!(result.initial_cycles, 58_574);
+}
